@@ -33,7 +33,7 @@ PR 9 adds three more fact kinds for the dataflow passes:
     collective executes on every rank,
   * allocation sites (``new`` / malloc-family / make_unique /
     make_shared) — the hot-path pass flags these outside the
-    TensorPool / MemoryPlanner front doors,
+    TensorPool front door,
   * RNG provenance: every ``Rng`` definition with its origin
     (``Rng::stream(...)`` keyed, ``split()`` of another stream,
     sequential seed construction, ``Rng&`` parameter), every draw
@@ -132,8 +132,8 @@ COLLECTIVE_KIND = {"all_reduce_sum": "all_reduce",
 
 # Heap-allocation sites for the hot-path pass. std::vector growth is
 # excluded by the same policy that excludes bad_alloc from the throw
-# model; TensorPool / MemoryPlanner internals are exempted at the pass
-# level as the sanctioned front doors.
+# model; TensorPool internals are exempted at the pass level as the
+# sanctioned front door.
 ALLOC_SITES = (
     ("new", re.compile(r"(?<![\w:.])new\s+[A-Za-z_(]")),
     ("malloc", re.compile(r"(?<![\w:.])(?:malloc|calloc|realloc)\s*\(")),

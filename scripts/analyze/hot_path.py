@@ -4,15 +4,14 @@ Phase 2 of the cross-TU analyzer (see facts.py). The five inference
 stage entry points (embed -> filter -> gnn predict -> build_tracks ->
 fit_track) carry a ``TRKX_HOT`` annotation (util/annotations.hpp).
 Everything in their transitive call closure is *hot*: a p50 latency
-budget lives or dies on these frames, and the planner/pool machinery
-(PR 7) exists precisely so steady-state inference touches no
-allocator. This pass walks the closure and reports:
+budget lives or dies on these frames, and the TensorPool exists
+precisely so steady-state inference touches no system allocator. This
+pass walks the closure and reports:
 
     trkx-hot-alloc   a heap allocation (new / malloc family /
                      make_unique / make_shared) reachable from a hot
-                     entry point outside the TensorPool/MemoryPlanner
-                     front doors — route it through the pool, or hoist
-                     it to setup.
+                     entry point outside the TensorPool front door —
+                     route it through the pool, or hoist it to setup.
     trkx-hot-block   a strong blocking operation (join / sleep /
                      file IO / collective / condvar wait) reachable
                      from a hot entry point. ``parallel_for`` /
@@ -20,8 +19,8 @@ allocator. This pass walks the closure and reports:
                      pool is synchronous compute, not a stall.
 
 std::vector growth is exempt by the same policy that excludes
-bad_alloc from the throw model; the sanctioned allocation front doors
-(src/tensor/pool.*, src/tensor/plan.*) are exempt as the place where
+bad_alloc from the throw model; the sanctioned allocation front door
+(src/tensor/pool.*) is exempt as the place where
 allocation is *supposed* to happen. Hot propagation follows the PR-8
 resolution discipline: plain calls propagate to every candidate,
 explicit-receiver method calls only when resolution is unambiguous.
@@ -34,16 +33,16 @@ from .common import Finding
 
 RULES = {
     "trkx-hot-alloc": "heap allocation on a TRKX_HOT inference path "
-                      "outside the pool/planner front doors",
+                      "outside the TensorPool front door",
     "trkx-hot-block": "blocking operation (join/sleep/IO/collective/"
                       "pool-wait) on a TRKX_HOT inference path",
     "trkx-hot-root": "a latency-critical module declares no TRKX_HOT "
                      "entry point, so its request path escapes this pass",
 }
 
-# Allocation front doors: the pool and planner own allocation; flagging
-# their internals would flag the fix.
-FRONT_DOORS = ("src/tensor/pool.", "src/tensor/plan.")
+# Allocation front doors: the pool owns allocation; flagging its
+# internals would flag the fix.
+FRONT_DOORS = ("src/tensor/pool.",)
 
 # Modules whose request/stage entry points must be TRKX_HOT-annotated.
 # Without a root the closure walk never sees the module, and the
@@ -83,8 +82,8 @@ def run(tree):
                 continue
             findings.append(Finding(
                 ff.file, li + 1, "trkx-hot-alloc",
-                f"{kind} on hot path {path}; route through TensorPool/"
-                "MemoryPlanner or hoist to setup"))
+                f"{kind} on hot path {path}; route through TensorPool "
+                "or hoist to setup"))
         for kind, strength, li, _ in ff.blocking:
             if strength != "strong" or kind == "pool-wait":
                 continue

@@ -5,7 +5,7 @@ Usage:
     check_ci_summary.py SUMMARY.json [--require-configs a,b]
                         [--require-overall pass]
 
-Expected shape (schema v6; v5/v4/v3/v2 artifacts are still accepted):
+Expected shape (schema v6, the only one ci_matrix.sh writes):
 
     {"schema": "trkx-ci-summary-v6",
      "jobs": <int>,
@@ -19,21 +19,15 @@ Expected shape (schema v6; v5/v4/v3/v2 artifacts are still accepted):
                  ...],
      "overall": "pass"|"fail"}
 
-v2 added the optional per-config "findings" count (the static-analysis
-legs report how many analyzer findings they saw; 0 on a clean tree).
-v3 adds the perf leg's optional "regressions" count and per-bench
-"verdicts" map (scripts/check_regression.py --report output).
-v4 adds the analyze leg's optional "findings_by_pass" map: one
-non-negative count per trkx-analyze pass (per-file and cross-TU), so a
-new noisy pass is visible in the summary, not just the total.
-v5 requires the analyze config's "findings_by_pass" (when present) to
-cover the phase-3 dataflow passes (collective-consistency, hot-path,
-rng-stream) — a summary claiming v5 can't silently drop them from the
-pass roster.
-v6 adds the serve leg's "counters" map (the serve.* failure-mode
-accounting printed by trkx-serve); a v6 serve config must carry it and
-it must cover the admission/retry counters, so a summary claiming v6
-can't drop the serving contract.
+"findings" is the count of analyzer findings a static-analysis leg saw
+(0 on a clean tree). "regressions" and "verdicts" are the perf leg's
+scripts/check_regression.py --report output. "findings_by_pass" holds
+one count per trkx-analyze pass; the analyze config's map must cover
+the dataflow passes (collective-consistency, hot-path, rng-stream), so
+a summary cannot silently drop them from the pass roster. The serve
+config must carry "counters" (the serve.* failure-mode accounting
+printed by trkx-serve) covering the admission/retry counters, so a
+summary cannot drop the serving contract.
 
 Mirrors scripts/check_bench_json.py: schema violations are listed one per
 line and the exit code gates CI. --require-configs pins which matrix legs
@@ -45,18 +39,14 @@ import argparse
 import json
 import sys
 
-SCHEMAS = ("trkx-ci-summary-v6", "trkx-ci-summary-v5", "trkx-ci-summary-v4",
-           "trkx-ci-summary-v3", "trkx-ci-summary-v2")
+SCHEMA = "trkx-ci-summary-v6"
 
-# Passes a v5 analyze leg's findings_by_pass must cover (the phase-3
-# dataflow passes introduced alongside the v5 schema bump).
-V5_ANALYZE_PASSES = ("collective-consistency", "hot-path", "rng-stream")
-# v5 requirements carry into v6 and later.
-V5_SCHEMAS = ("trkx-ci-summary-v6", "trkx-ci-summary-v5")
+# Passes the analyze leg's findings_by_pass must cover (the dataflow passes).
+ANALYZE_PASSES = ("collective-consistency", "hot-path", "rng-stream")
 
-# Counters a v6 serve leg must report (the serving failure-mode contract).
-V6_SERVE_COUNTERS = ("serve.accepted", "serve.completed",
-                     "serve.rejected.queue_full", "serve.retry")
+# Counters the serve leg must report (the serving failure-mode contract).
+SERVE_COUNTERS = ("serve.accepted", "serve.completed",
+                  "serve.rejected.queue_full", "serve.retry")
 
 
 def main() -> int:
@@ -86,10 +76,9 @@ def main() -> int:
     if not isinstance(doc, dict):
         errors.append("top level is not an object")
         doc = {}
-    if doc.get("schema") not in SCHEMAS:
+    if doc.get("schema") != SCHEMA:
         errors.append(
-            f'"schema" must be one of {list(SCHEMAS)}, '
-            f'got {doc.get("schema")!r}'
+            f'"schema" must be {SCHEMA!r}, got {doc.get("schema")!r}'
         )
     if not isinstance(doc.get("jobs"), int) or doc.get("jobs", 0) < 1:
         errors.append('"jobs" must be a positive integer')
@@ -147,12 +136,11 @@ def main() -> int:
                             f"{where}: findings_by_pass[{pass_name!r}] "
                             "must be a non-negative integer"
                         )
-                if (doc.get("schema") in V5_SCHEMAS
-                        and name == "analyze"):
-                    for required in V5_ANALYZE_PASSES:
+                if name == "analyze":
+                    for required in ANALYZE_PASSES:
                         if required not in by_pass:
                             errors.append(
-                                f"{where}: v5 findings_by_pass must "
+                                f"{where}: findings_by_pass must "
                                 f"include the {required!r} pass"
                             )
         serve_counters = c.get("counters")
@@ -166,16 +154,16 @@ def main() -> int:
                         f"{where}: counters[{counter!r}] must be a "
                         "non-negative integer"
                     )
-        if doc.get("schema") == "trkx-ci-summary-v6" and name == "serve":
+        if name == "serve":
             if serve_counters is None:
                 errors.append(
-                    f'{where}: a v6 serve config must carry "counters"'
+                    f'{where}: a serve config must carry "counters"'
                 )
             else:
-                for required in V6_SERVE_COUNTERS:
+                for required in SERVE_COUNTERS:
                     if required not in serve_counters:
                         errors.append(
-                            f"{where}: v6 serve counters must include "
+                            f"{where}: serve counters must include "
                             f"{required!r}"
                         )
         verdicts = c.get("verdicts")

@@ -11,7 +11,6 @@
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/checkpoint.hpp"
-#include "tensor/plan.hpp"
 #include "tensor/pool.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -121,13 +120,6 @@ double compute_gradients(GnnModel& model, Optimizer& opt, const Graph& graph,
                          const StepData& data, float pos_weight) {
   opt.zero_grad();
   if (graph.num_edges() == 0) return 0.0;
-  // Tape allocations inside this scope repeat exactly whenever the step
-  // shapes repeat; the planner then serves them from one arena instead of
-  // the pool (record on first sight of a signature, verified replay
-  // after). Parameter gradients escape the scope and stay pool-served.
-  MemoryPlanner::Scope plan_scope(MemoryPlanner::fingerprint(
-      {graph.num_vertices(), graph.num_edges(), data.node_features.cols(),
-       data.edge_features.cols()}));
   TapeContext ctx;
   Var loss;
   {
@@ -399,16 +391,6 @@ void run_shadow_training(ShadowTrainContext ctx) {
       metrics().gauge("pool.bytes_cached")
           .set(static_cast<double>(pstats.bytes_cached));
       metrics().gauge("pool.hit_rate").set(pstats.hit_rate());
-      // When the static memory plan bypasses the pool, the step's working
-      // set
-      // moves into plan arenas — report it so occupancy stays honest.
-      const MemoryPlanner::Stats mstats = MemoryPlanner::stats();
-      metrics().gauge("memplan.arena_bytes")
-          .set(static_cast<double>(mstats.arena_bytes));
-      metrics().gauge("memplan.plan_reuses")
-          .set(static_cast<double>(mstats.plan_reuses));
-      metrics().gauge("memplan.replans")
-          .set(static_cast<double>(mstats.replans));
     });
   }
   std::size_t start_epoch = 0;
@@ -613,13 +595,6 @@ void run_shadow_training(ShadowTrainContext ctx) {
       metrics().gauge("pool.misses").set(static_cast<double>(pstats.misses));
       metrics().gauge("pool.bytes_cached")
           .set(static_cast<double>(pstats.bytes_cached));
-      const MemoryPlanner::Stats mstats = MemoryPlanner::stats();
-      metrics().gauge("memplan.arena_bytes")
-          .set(static_cast<double>(mstats.arena_bytes));
-      metrics().gauge("memplan.plan_reuses")
-          .set(static_cast<double>(mstats.plan_reuses));
-      metrics().gauge("memplan.replans")
-          .set(static_cast<double>(mstats.replans));
     }
 
     record.train_loss =

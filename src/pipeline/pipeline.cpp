@@ -79,13 +79,12 @@ TrainResult TrackingPipeline::fit(const std::vector<Event>& train_events,
     frnn_train.reserve(train_events.size());
     for (const Event& e : train_events) {
       Event copy = e;
-      const Matrix embedded = embedding_->embed(copy.node_features);
-      rebuild_event_graph(copy, embedded, config_.frnn, edge_dim_, scales_);
+      embed_stage(copy);
       frnn_train.push_back(std::move(copy));
     }
     TRKX_INFO << "pipeline: training filter MLP";
     filter_->train(frnn_train);
-    for (Event& e : frnn_train) filter_->apply(e);
+    for (Event& e : frnn_train) filter_stage(e, 1.0f);
     gnn_train_events = std::move(frnn_train);
     for (const Event& e : val_events)
       gnn_val_events.push_back(prepare_event(e));

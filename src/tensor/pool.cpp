@@ -1,8 +1,6 @@
 #include "tensor/pool.hpp"
 
 #include <atomic>
-
-#include "tensor/plan.hpp"
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -38,6 +36,8 @@ namespace {
 constexpr std::size_t kMinBucketBytes = 256;
 constexpr std::size_t kMaxBucketBytes = std::size_t{1} << 26;
 constexpr std::size_t kNumBuckets = 19;  // 2^8 .. 2^26
+// Per-thread free-list cap; releases beyond it go to the system allocator.
+constexpr std::size_t kMaxCachedBytes = std::size_t{128} << 20;
 
 /// Bucket index for a request, or kNumBuckets when it bypasses the pool.
 std::size_t bucket_index(std::size_t bytes) {
@@ -85,12 +85,6 @@ struct Registry {
 Registry& registry() {
   static Registry* r = new Registry;  // NOLINT(trkx-naked-new): leaked singleton
   return *r;
-}
-
-std::size_t read_max_cached_bytes() {
-  const long mb = env::get_int("TRKX_POOL_MAX_MB");
-  if (mb >= 0) return static_cast<std::size_t>(mb) << 20;
-  return std::size_t{128} << 20;
 }
 
 bool read_enabled() { return env::get_bool("TRKX_TENSOR_POOL"); }
@@ -160,9 +154,10 @@ ThreadCache* local_cache() {
   return &cache;
 }
 
-/// The pool's own allocation path (bucket free lists + system fallback),
-/// shared by the planner-aware front door below.
-void* acquire_impl(std::size_t bytes) {
+}  // namespace
+
+void* TensorPool::acquire(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
   const std::size_t idx = bucket_index(bytes);
   // Always allocate bucket-rounded sizes so a block's real capacity is a
   // pure function of the request size, regardless of when the pool was
@@ -188,23 +183,8 @@ void* acquire_impl(std::size_t bytes) {
   return ::operator new(alloc_bytes);
 }
 
-}  // namespace
-
-void* TensorPool::acquire(std::size_t bytes) {
-  if (bytes == 0) return nullptr;
-  // A replaying memory plan serves tape-step buffers straight from its
-  // arena; the pool only sees the allocations the plan declines.
-  if (void* p = plan_detail::plan_acquire(bytes)) return p;
-  void* p = acquire_impl(bytes);
-  plan_detail::plan_record(p, bytes);
-  return p;
-}
-
 void TensorPool::release(void* p, std::size_t bytes) {
   if (p == nullptr) return;
-  // Arena-owned pointers are the planner's: they must never enter the
-  // pool's free lists or reach the system allocator.
-  if (plan_detail::plan_release(p, bytes)) return;
   const std::size_t idx = bucket_index(bytes);
   ThreadCache* cache = local_cache();
   if (cache == nullptr) {
@@ -213,7 +193,7 @@ void TensorPool::release(void* p, std::size_t bytes) {
   }
   if (idx < kNumBuckets && g_enabled.load(std::memory_order_relaxed)) {
     const std::size_t cap = bucket_bytes(idx);
-    if (cache->bytes_cached + cap <= max_cached_bytes()) {
+    if (cache->bytes_cached + cap <= kMaxCachedBytes) {
       cache->free_lists[idx].push_back(p);
       poison_block(p, cap);
       cache->bytes_cached += cap;
@@ -263,11 +243,6 @@ void TensorPool::reset_stats() {
 
 void TensorPool::clear_thread_cache() {
   if (ThreadCache* cache = local_cache()) cache->drop_blocks();
-}
-
-std::size_t TensorPool::max_cached_bytes() {
-  static const std::size_t cap = read_max_cached_bytes();
-  return cap;
 }
 
 }  // namespace trkx

@@ -18,10 +18,9 @@ namespace trkx {
 ///     release() returns the block to the *releasing* thread's free list,
 ///     so buffers produced on a prefetch thread and freed on the trainer
 ///     thread simply migrate between caches without synchronisation.
-///   - Each thread caches at most `max_cached_bytes()` (default 128 MB,
-///     env TRKX_POOL_MAX_MB); beyond that, releases fall through to the
-///     system allocator. Requests above the largest bucket (64 MB) bypass
-///     the pool entirely.
+///   - Each thread caches at most 128 MB; beyond that, releases fall
+///     through to the system allocator. Requests above the largest
+///     bucket (64 MB) bypass the pool entirely.
 ///   - The pool is enabled by default; set TRKX_TENSOR_POOL=0 (or call
 ///     set_enabled(false)) to fall back to plain new/delete everywhere —
 ///     useful for allocator-sensitive debugging (ASan still sees every
@@ -59,9 +58,6 @@ class TensorPool {
 
   /// Free every block cached by the calling thread.
   static void clear_thread_cache();
-
-  /// Per-thread cache cap in bytes (TRKX_POOL_MAX_MB, default 128 MB).
-  static std::size_t max_cached_bytes();
 };
 
 /// Minimal stateless allocator routing std::vector storage through

@@ -65,10 +65,10 @@
   TRKX_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 /// Marks an inference-stage entry point whose transitive call closure must
-/// stay free of heap allocation (outside the TensorPool / MemoryPlanner
-/// front doors) and of blocking operations. Expands to nothing — it is a
-/// marker for trkx-analyze's hot-path pass, which walks the call graph from
-/// every annotated function and reports trkx-hot-alloc / trkx-hot-block
+/// stay free of heap allocation (outside the TensorPool front door) and of
+/// blocking operations. Expands to nothing — it is a marker for
+/// trkx-analyze's hot-path pass, which walks the call graph from every
+/// annotated function and reports trkx-hot-alloc / trkx-hot-block
 /// violations. Annotate declarations, not call sites.
 #define TRKX_HOT
 

@@ -32,13 +32,8 @@ constexpr Knob kKnobs[] = {
     {"TRKX_GIT_SHA", "",
      "Override the compile-time git SHA stamped into RunManifest "
      "provenance"},
-    {"TRKX_MEM_PLAN", "1",
-     "Tape-level memory planning (record/replay arena); set 0 to serve "
-     "every gradient tensor from the pool"},
     {"TRKX_METRICS", "",
      "Write the metrics-registry JSON to this path at exit"},
-    {"TRKX_POOL_MAX_MB", "128",
-     "Per-thread TensorPool free-list cache cap in MiB"},
     {"TRKX_SERVE_DEADLINE_MS", "0",
      "trkx-serve default per-request deadline in milliseconds; 0 means "
      "unbounded"},

@@ -461,8 +461,12 @@ TEST(EnvRegistry, KnownKnobsRegisteredAndSorted) {
   ASSERT_FALSE(ks.empty());
   EXPECT_TRUE(env::is_registered("TRKX_SIMD"));
   EXPECT_TRUE(env::is_registered("TRKX_FAULTS"));
-  EXPECT_TRUE(env::is_registered("TRKX_POOL_MAX_MB"));
+  EXPECT_TRUE(env::is_registered("TRKX_TENSOR_POOL"));
   EXPECT_FALSE(env::is_registered("TRKX_NOT_A_KNOB"));
+  // Knobs deleted together with the mechanism they tuned stay deleted.
+  for (const char* removed : {"MEM_PLAN", "POOL_MAX_MB"})
+    EXPECT_FALSE(env::is_registered(std::string("TRKX_") + removed))
+        << removed;
   for (std::size_t i = 1; i < ks.size(); ++i)
     EXPECT_LT(std::string(ks[i - 1].name), std::string(ks[i].name))
         << "registry must stay sorted by name";
@@ -478,23 +482,23 @@ TEST(EnvRegistry, UnregisteredKnobThrows) {
 }
 
 TEST(EnvRegistry, TypedAccessorsAndDefaults) {
-  ::unsetenv("TRKX_POOL_MAX_MB");
-  EXPECT_EQ(env::get_int("TRKX_POOL_MAX_MB"), 128);  // registry default
-  ::setenv("TRKX_POOL_MAX_MB", "64", 1);
-  EXPECT_EQ(env::get_int("TRKX_POOL_MAX_MB"), 64);
-  ::setenv("TRKX_POOL_MAX_MB", "not-a-number", 1);
-  EXPECT_EQ(env::get_int("TRKX_POOL_MAX_MB"), 128);  // falls back
-  ::unsetenv("TRKX_POOL_MAX_MB");
+  ::unsetenv("TRKX_TIMESERIES_MS");
+  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 200);  // registry default
+  ::setenv("TRKX_TIMESERIES_MS", "64", 1);
+  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 64);
+  ::setenv("TRKX_TIMESERIES_MS", "not-a-number", 1);
+  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 200);  // falls back
+  ::unsetenv("TRKX_TIMESERIES_MS");
 
-  ::unsetenv("TRKX_MEM_PLAN");
-  EXPECT_TRUE(env::get_bool("TRKX_MEM_PLAN"));  // default "1"
-  ::setenv("TRKX_MEM_PLAN", "0", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_MEM_PLAN"));
-  ::setenv("TRKX_MEM_PLAN", "off", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_MEM_PLAN"));
-  ::setenv("TRKX_MEM_PLAN", "yes", 1);
-  EXPECT_TRUE(env::get_bool("TRKX_MEM_PLAN"));
-  ::unsetenv("TRKX_MEM_PLAN");
+  ::unsetenv("TRKX_TENSOR_POOL");
+  EXPECT_TRUE(env::get_bool("TRKX_TENSOR_POOL"));  // default "1"
+  ::setenv("TRKX_TENSOR_POOL", "0", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_TENSOR_POOL"));
+  ::setenv("TRKX_TENSOR_POOL", "off", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_TENSOR_POOL"));
+  ::setenv("TRKX_TENSOR_POOL", "yes", 1);
+  EXPECT_TRUE(env::get_bool("TRKX_TENSOR_POOL"));
+  ::unsetenv("TRKX_TENSOR_POOL");
 
   ::setenv("TRKX_COMM_TIMEOUT_MS", "1500.5", 1);
   EXPECT_DOUBLE_EQ(env::get_double("TRKX_COMM_TIMEOUT_MS"), 1500.5);
