@@ -185,8 +185,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nseries written to arch_ablation.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;

@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
       "the gap that motivates minibatch\nDDP for particle-graph GNNs.\n",
       paper_bytes / 1e9, model_bytes / 1e6);
   std::printf("series written to distributed_modes.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;

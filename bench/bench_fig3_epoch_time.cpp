@@ -28,8 +28,8 @@
 //
 // Alongside the CSV it always dumps the global metrics registry (phase
 // histograms, all-reduce call/byte counters) so the perf trajectory can
-// track the sampling/compute/comms split across PRs. With --json-out (or
-// TRKX_BENCH_JSON) it also writes the unified BENCH_fig3.json artifact of
+// track the sampling/compute/comms split across PRs. With --json-out it
+// also writes the unified BENCH_fig3.json artifact of
 // per-phase medians validated by scripts/check_bench_json.py.
 
 #include <algorithm>
@@ -221,8 +221,7 @@ int main(int argc, char** argv) {
   obs.flush();
   std::printf("series written to fig3_epoch_time.csv, metrics to %s\n",
               obs.metrics_path().c_str());
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;

@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
         .metric("final_f1", last.f1())
         .metric("total_seconds", c.result.total_seconds);
   }
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
 

@@ -9,7 +9,7 @@
 //
 // gb_json_main peels --json-out off the arg list before google-benchmark
 // validates it, runs the selected benchmarks under a capturing console
-// reporter, and — when --json-out or TRKX_BENCH_JSON is set — writes one
+// reporter, and — when --json-out is set — writes one
 // series per benchmark: the median per-iteration real time in
 // milliseconds plus every user counter. This is what makes every
 // microbenchmark a citizen of the perf trajectory (scripts/trkx-bench,
@@ -98,8 +98,7 @@ inline int gb_json_main(
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const std::string path = BenchJsonWriter::resolve_path(json_out);
-  if (path.empty()) return 0;
+  if (json_out.empty()) return 0;
   BenchJsonWriter json(bench_name);
   for (const auto& [name, run] : reporter.captured()) {
     auto& s = json.series(name);
@@ -108,8 +107,8 @@ inline int gb_json_main(
     for (const auto& [cname, value] : run.counters) s.metric(cname, value);
   }
   if (extra_series) extra_series(json);
-  json.write(path);
-  std::printf("bench JSON written to %s\n", path.c_str());
+  json.write(json_out);
+  std::printf("bench JSON written to %s\n", json_out.c_str());
   return 0;
 }
 

@@ -1,8 +1,6 @@
 // Unified machine-readable benchmark artifact.
 //
-// Every bench that opts in accepts --json-out <path> (with the
-// TRKX_BENCH_JSON environment variable as fallback, so CI can redirect
-// artifacts without touching per-bench flags) and writes schema v2:
+// Every bench that opts in accepts --json-out <path> and writes schema v2:
 //
 //   {"schema": "trkx-bench-v2",
 //    "bench": "<name>",
@@ -11,9 +9,8 @@
 //                "params": {"<key>": "<value>", ...},
 //                "metrics": {"<key>": <number>, ...}}, ...]}
 //
-// scripts/check_bench_json.py validates this shape (perf-smoke label; v1
-// artifacts without schema/manifest keys are still accepted for older
-// baselines), and scripts/trkx-bench merges the per-bench artifacts into
+// scripts/check_bench_json.py validates this shape (perf-smoke label),
+// and scripts/trkx-bench merges the per-bench artifacts into
 // the committed BENCH_*.json perf trajectory that
 // scripts/check_regression.py gates against.
 
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "obs/manifest.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace trkx {
@@ -53,13 +49,6 @@ class BenchJsonWriter {
   };
 
   explicit BenchJsonWriter(std::string bench) : bench_(std::move(bench)) {}
-
-  /// Output path: the --json-out value if given, else $TRKX_BENCH_JSON,
-  /// else "" (disabled).
-  static std::string resolve_path(const std::string& cli_value) {
-    if (!cli_value.empty()) return cli_value;
-    return env::get_string("TRKX_BENCH_JSON");
-  }
 
   Series& series(const std::string& name) {
     series_.push_back(Series{name, {}, {}});

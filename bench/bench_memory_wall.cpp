@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
       .metric("shadow_mb", shadow_bytes / 1e6)
       .metric("paper_fullgraph_gb", paper_fp / 1e9);
   std::printf("series written to memory_wall.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;

@@ -3,7 +3,7 @@
 // compared on sampling cost, receptive-field size, and edge coverage on
 // an Ex3-like event graph.
 //
-// With --json-out <path> (or TRKX_BENCH_JSON) the per-benchmark times and
+// With --json-out <path> the per-benchmark times and
 // counters are also written as a BENCH_samplers.json artifact in the
 // unified schema validated by scripts/check_bench_json.py.
 

@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
       .metric("p95_ms", pctl(calib_ms, 0.95))
       .metric("p99_ms", pctl(calib_ms, 0.99));
   server.stop();
-  json.write(BenchJsonWriter::resolve_path(args.get("json-out", "")));
+  json.write(args.get("json-out", ""));
 
   if (assert_ratio > 0.0) {
     // The acceptance gate: at 2x saturation the server must still be

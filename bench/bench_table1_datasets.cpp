@@ -117,8 +117,7 @@ int main(int argc, char** argv) {
               rows[0].avg_edges / rows[0].avg_vertices,
               rows[1].avg_edges / rows[1].avg_vertices);
   std::printf("series written to table1_datasets.csv\n");
-  const std::string json_path =
-      BenchJsonWriter::resolve_path(args.get("json-out", ""));
+  const std::string json_path = args.get("json-out", "");
   if (json.write(json_path))
     std::printf("bench JSON written to %s\n", json_path.c_str());
   return 0;

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   const double scale = args.get_double("scale", 0.06);
   const std::size_t epochs = static_cast<std::size_t>(args.get_int("epochs", 3));
   const std::string checkpoint_dir = args.get("checkpoint-dir", "");
-  // -1 defers to the TRKX_COMM_TIMEOUT_MS environment variable; 0 = none.
+  // 0 = no collective timeout.
   const double comm_timeout_seconds =
-      args.get_double("comm-timeout-ms", -1.0) / 1000.0;
+      args.get_double("comm-timeout-ms", 0.0) / 1000.0;
 
   DatasetSpec spec = ex3_spec(scale);
   Dataset data =

@@ -39,8 +39,8 @@ REGISTRY_FILE = "src/util/env.cpp"
 KNOB_ROW = re.compile(r'\{\s*"(TRKX_\w+)"')
 GETENV = re.compile(r"(?<![\w:])(?:std::)?getenv\s*\(")
 ACCESSOR = re.compile(
-    r"\benv\s*::\s*(?:raw|is_set|is_registered|get_string|get_int"
-    r"|get_double|get_bool)\s*\(\s*\"(TRKX_\w+)\"")
+    r"\benv\s*::\s*(?:raw|is_set|is_registered|get_string|get_bool)"
+    r"\s*\(\s*\"(TRKX_\w+)\"")
 TRKX_LITERAL = re.compile(r'"(TRKX_\w+)"')
 
 

@@ -32,8 +32,7 @@ PR 9 adds three more fact kinds for the dataflow passes:
     — what the collective-consistency pass needs to decide whether a
     collective executes on every rank,
   * allocation sites (``new`` / malloc-family / make_unique /
-    make_shared) — the hot-path pass flags these outside the
-    TensorPool front door,
+    make_shared) — the hot-path pass flags these,
   * RNG provenance: every ``Rng`` definition with its origin
     (``Rng::stream(...)`` keyed, ``split()`` of another stream,
     sequential seed construction, ``Rng&`` parameter), every draw
@@ -132,8 +131,7 @@ COLLECTIVE_KIND = {"all_reduce_sum": "all_reduce",
 
 # Heap-allocation sites for the hot-path pass. std::vector growth is
 # excluded by the same policy that excludes bad_alloc from the throw
-# model; TensorPool internals are exempted at the pass level as the
-# sanctioned front door.
+# model.
 ALLOC_SITES = (
     ("new", re.compile(r"(?<![\w:.])new\s+[A-Za-z_(]")),
     ("malloc", re.compile(r"(?<![\w:.])(?:malloc|calloc|realloc)\s*\(")),

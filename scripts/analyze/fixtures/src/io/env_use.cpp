@@ -8,8 +8,8 @@ const char* direct_read() {
   return std::getenv("TRKX_FIXTURE_MODE");  // seeded: trkx-env-direct
 }
 
-long unregistered_read() {
-  return env::get_int("TRKX_FIXTURE_BOGUS");  // seeded: trkx-env-unregistered
+bool unregistered_read() {
+  return env::get_bool("TRKX_FIXTURE_BOGUS");  // seeded: trkx-env-unregistered
 }
 
 std::string registered_read() {

@@ -42,9 +42,9 @@ const char* suppressed_env() {
   return std::getenv("TRKX_FIXTURE_MODE");
 }
 
-long suppressed_unregistered() {
+bool suppressed_unregistered() {
   // NOLINT(trkx-env-unregistered): fixture proof of accessor suppression
-  return env::get_int("TRKX_FIXTURE_BOGUS");
+  return env::get_bool("TRKX_FIXTURE_BOGUS");
 }
 
 }  // namespace trkx

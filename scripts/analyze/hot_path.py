@@ -4,26 +4,23 @@ Phase 2 of the cross-TU analyzer (see facts.py). The five inference
 stage entry points (embed -> filter -> gnn predict -> build_tracks ->
 fit_track) carry a ``TRKX_HOT`` annotation (util/annotations.hpp).
 Everything in their transitive call closure is *hot*: a p50 latency
-budget lives or dies on these frames, and the TensorPool exists
-precisely so steady-state inference touches no system allocator. This
-pass walks the closure and reports:
+budget lives or dies on these frames. This pass walks the closure and
+reports:
 
     trkx-hot-alloc   a heap allocation (new / malloc family /
                      make_unique / make_shared) reachable from a hot
-                     entry point outside the TensorPool front door —
-                     route it through the pool, or hoist it to setup.
+                     entry point — hoist it to setup.
     trkx-hot-block   a strong blocking operation (join / sleep /
                      file IO / collective / condvar wait) reachable
                      from a hot entry point. ``parallel_for`` /
                      ``wait_all`` are exempt: blocking on the worker
                      pool is synchronous compute, not a stall.
 
-std::vector growth is exempt by the same policy that excludes
-bad_alloc from the throw model; the sanctioned allocation front door
-(src/tensor/pool.*) is exempt as the place where
-allocation is *supposed* to happen. Hot propagation follows the PR-8
-resolution discipline: plain calls propagate to every candidate,
-explicit-receiver method calls only when resolution is unambiguous.
+std::vector growth, and with it every Matrix buffer, is exempt by the
+same policy that excludes bad_alloc from the throw model. Hot
+propagation follows the PR-8 resolution discipline: plain calls
+propagate to every candidate, explicit-receiver method calls only when
+resolution is unambiguous.
 One-time setup inside a hot frame (first-call warmup, cache fill) is a
 NOLINT with a reason, not a model change.
 """
@@ -32,17 +29,12 @@ from . import facts
 from .common import Finding
 
 RULES = {
-    "trkx-hot-alloc": "heap allocation on a TRKX_HOT inference path "
-                      "outside the TensorPool front door",
+    "trkx-hot-alloc": "heap allocation on a TRKX_HOT inference path",
     "trkx-hot-block": "blocking operation (join/sleep/IO/collective/"
                       "pool-wait) on a TRKX_HOT inference path",
     "trkx-hot-root": "a latency-critical module declares no TRKX_HOT "
                      "entry point, so its request path escapes this pass",
 }
-
-# Allocation front doors: the pool owns allocation; flagging its
-# internals would flag the fix.
-FRONT_DOORS = ("src/tensor/pool.",)
 
 # Modules whose request/stage entry points must be TRKX_HOT-annotated.
 # Without a root the closure walk never sees the module, and the
@@ -50,11 +42,6 @@ FRONT_DOORS = ("src/tensor/pool.",)
 # request path (ServeServer::run_request) joined the pipeline stages
 # under this contract in PR 10.
 REQUIRED_HOT_MODULES = ("src/pipeline/", "src/serve/")
-
-
-def _exempt(rel):
-    r = rel.replace("\\", "/")
-    return any(r.startswith(d) for d in FRONT_DOORS)
 
 
 def run(tree):
@@ -74,16 +61,13 @@ def run(tree):
     hot = proj.hot_paths()
     for ff, path in sorted(hot.values(),
                            key=lambda fp: (fp[0].file, fp[0].start)):
-        if _exempt(ff.file):
-            continue
         sf = tree.file(ff.file)
         for kind, li in ff.allocs:
             if sf.has_nolint(li, "trkx-hot-alloc"):
                 continue
             findings.append(Finding(
                 ff.file, li + 1, "trkx-hot-alloc",
-                f"{kind} on hot path {path}; route through TensorPool "
-                "or hoist to setup"))
+                f"{kind} on hot path {path}; hoist it to setup"))
         for kind, strength, li, _ in ff.blocking:
             if strength != "strong" or kind == "pool-wait":
                 continue

@@ -4,11 +4,10 @@
 Usage:
     check_bench_json.py BENCH.json [--bench NAME]
                         [--require-metrics a,b,c] [--min-series N]
-                        [--require-params a,b] [--require-manifest]
+                        [--require-params a,b]
     check_bench_json.py --selftest
 
-Expected shape (schema v2; v1 artifacts without the schema/manifest keys
-are still accepted so older committed baselines keep validating):
+Expected shape (schema v2, the only one):
 
     {"schema": "trkx-bench-v2",
      "bench": "<name>",
@@ -20,13 +19,12 @@ are still accepted so older committed baselines keep validating):
 
 Every series must carry a non-empty name, params must map strings to
 strings, and metrics must map strings to numbers (null marks a non-finite
-measurement). A v2 artifact must carry a well-formed manifest block;
---require-manifest rejects v1 artifacts outright. Optional flags pin the
-bench name, require metric/param keys on every series, and set a minimum
-series count. --selftest validates the embedded golden fixtures (valid v1,
-valid v2, and known-bad mutations) and exits non-zero if the validator's
-verdict on any of them changes. Exits 0 on success, 1 with one message per
-violation otherwise.
+measurement). Every artifact must carry a well-formed manifest block.
+Optional flags pin the bench name, require metric/param keys on every
+series, and set a minimum series count. --selftest validates the embedded
+golden fixture and known-bad mutations of it, and exits non-zero if the
+validator's verdict on any of them changes. Exits 0 on success, 1 with one
+message per violation otherwise.
 """
 
 import argparse
@@ -34,12 +32,12 @@ import copy
 import json
 import sys
 
-KNOWN_SCHEMAS = ("trkx-bench-v2",)
+SCHEMA = "trkx-bench-v2"
 MANIFEST_SCHEMA = "trkx-manifest-v1"
 
-# Golden fixtures for --selftest: one canonical artifact per schema
-# version plus mutations that must each produce at least one error.
-GOLDEN_V2 = {
+# Golden fixture for --selftest: one canonical artifact; the selftest
+# mutates it in ways that must each produce at least one error.
+GOLDEN = {
     "schema": "trkx-bench-v2",
     "bench": "sparse",
     "manifest": {
@@ -64,32 +62,17 @@ GOLDEN_V2 = {
     ],
 }
 
-GOLDEN_V1 = {
-    "bench": "fig3_epoch_time",
-    "series": [
-        {
-            "name": "CTD/pipelined/p1",
-            "params": {"dataset": "CTD", "impl": "pipelined"},
-            "metrics": {"epoch_s_median": 0.42},
-        }
-    ],
-}
-
 
 def validate(doc, bench="", require_metrics=(), require_params=(),
-             min_series=1, require_manifest=False):
+             min_series=1):
     """Return the list of violations for one parsed artifact."""
     errors = []
     if not isinstance(doc, dict):
         return ["top level is not an object"]
 
     schema = doc.get("schema")
-    is_v2 = schema is not None
-    if is_v2 and schema not in KNOWN_SCHEMAS:
-        errors.append(f'unknown "schema" {schema!r}')
-        is_v2 = False
-    if require_manifest and not is_v2:
-        errors.append('artifact is schema v1 but a manifest is required')
+    if schema != SCHEMA:
+        errors.append(f'"schema" is {schema!r}, expected {SCHEMA!r}')
 
     name = doc.get("bench")
     if not isinstance(name, str) or not name:
@@ -97,8 +80,7 @@ def validate(doc, bench="", require_metrics=(), require_params=(),
     elif bench and name != bench:
         errors.append(f'"bench" is {name!r}, expected {bench!r}')
 
-    if is_v2:
-        errors.extend(validate_manifest(doc.get("manifest")))
+    errors.extend(validate_manifest(doc.get("manifest")))
 
     series = doc.get("series")
     if not isinstance(series, list):
@@ -143,9 +125,9 @@ def validate(doc, bench="", require_metrics=(), require_params=(),
 
 
 def validate_manifest(manifest):
-    """Violations for a v2 artifact's manifest block."""
+    """Violations for an artifact's manifest block."""
     if not isinstance(manifest, dict):
-        return ['v2 artifact: "manifest" must be an object']
+        return ['"manifest" must be an object']
     errors = []
     if manifest.get("schema") != MANIFEST_SCHEMA:
         errors.append(
@@ -173,37 +155,38 @@ def selftest() -> int:
         elif not want_clean and not errs:
             failures.append(f"{label}: expected violations, got none")
 
-    expect("golden v2", GOLDEN_V2, True, bench="sparse",
-           require_metrics=["real_time_ms_median"], require_manifest=True)
-    expect("golden v1", GOLDEN_V1, True, bench="fig3_epoch_time")
-    expect("v1 with manifest required", GOLDEN_V1, False,
-           require_manifest=True)
+    expect("golden", GOLDEN, True, bench="sparse",
+           require_metrics=["real_time_ms_median"])
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
     bad["schema"] = "trkx-bench-v9"
     expect("unknown schema", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
-    del bad["manifest"]
-    expect("v2 without manifest", bad, False)
+    bad = copy.deepcopy(GOLDEN)
+    del bad["schema"]
+    expect("no schema", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
+    del bad["manifest"]
+    expect("no manifest", bad, False)
+
+    bad = copy.deepcopy(GOLDEN)
     bad["manifest"]["git_sha"] = ""
     expect("empty git_sha", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
     bad["manifest"]["hardware_threads"] = "one"
     expect("non-integer hardware_threads", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
     bad["series"][0]["metrics"]["real_time_ms_median"] = "fast"
     expect("string metric", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
     bad["series"] = []
     expect("empty series", bad, False)
 
-    bad = copy.deepcopy(GOLDEN_V2)
+    bad = copy.deepcopy(GOLDEN)
     bad["series"][0]["params"]["benchmark"] = 7
     expect("non-string param", bad, False)
 
@@ -232,11 +215,6 @@ def main() -> int:
         "--min-series", type=int, default=1, help="minimum series count"
     )
     parser.add_argument(
-        "--require-manifest",
-        action="store_true",
-        help="reject v1 artifacts (schema v2 with manifest required)",
-    )
-    parser.add_argument(
         "--selftest",
         action="store_true",
         help="validate the embedded golden fixtures and exit",
@@ -261,7 +239,6 @@ def main() -> int:
         require_metrics=[k for k in args.require_metrics.split(",") if k],
         require_params=[k for k in args.require_params.split(",") if k],
         min_series=args.min_series,
-        require_manifest=args.require_manifest,
     )
     for e in errors:
         print(f"error: {e}", file=sys.stderr)

@@ -9,8 +9,6 @@
 #                TRKX_SIMD=avx2 when the host supports it) — every test
 #                must pass on both tables, not just the auto-resolved one
 #   asan-ubsan   TRKX_SANITIZE=address;undefined, suite minus perf-smoke
-#                (the TensorPool stays on and poisons parked blocks, so
-#                ASan also catches use-after-release through the pool)
 #   tsan-stress  TRKX_SANITIZE=thread, tsan-stress labelled tests
 #   chaos        fault-injection leg: chaos-labelled ctest suite, then a
 #                TRKX_FAULTS matrix (I/O error, delay, rank-kill) driven

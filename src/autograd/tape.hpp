@@ -139,8 +139,8 @@ class Tape {
            std::function<void(Node&)> backward);
   /// Accumulate g into the node's grad. Taking g by value lets backward
   /// closures hand over their temporaries: the first contribution to a
-  /// node is a buffer move, not a copy, so the pool sees one allocation
-  /// per gradient instead of two.
+  /// node is a buffer move, not a copy, so the allocator sees one
+  /// allocation per gradient instead of two.
   void accumulate(Var v, Matrix g);
 
   friend class Var;

@@ -6,23 +6,12 @@
 #include <cstring>
 #include <thread>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace trkx {
-
-namespace {
-
-/// Collective timeout from TRKX_COMM_TIMEOUT_MS (0 / unset = no timeout).
-double env_comm_timeout_seconds() {
-  const double ms = env::get_double("TRKX_COMM_TIMEOUT_MS");
-  return ms > 0.0 ? ms / 1000.0 : 0.0;
-}
-
-}  // namespace
 
 TimeoutBarrier::TimeoutBarrier(int parties, double timeout_seconds)
     : parties_(parties), timeout_seconds_(timeout_seconds) {
@@ -181,11 +170,10 @@ std::vector<float> Communicator::all_gather(std::span<const float> local) {
 
 DistRuntime::DistRuntime(int num_ranks, AllReduceCostModel cost_model,
                          double comm_timeout_seconds)
-    : num_ranks_(num_ranks), cost_model_(cost_model) {
+    : num_ranks_(num_ranks),
+      cost_model_(cost_model),
+      comm_timeout_seconds_(comm_timeout_seconds) {
   TRKX_CHECK(num_ranks >= 1);
-  comm_timeout_seconds_ = comm_timeout_seconds < 0.0
-                              ? env_comm_timeout_seconds()
-                              : comm_timeout_seconds;
   if (num_ranks > 1)
     barrier_ =
         std::make_unique<TimeoutBarrier>(num_ranks, comm_timeout_seconds_);

@@ -129,12 +129,11 @@ class Communicator {
 /// this substitution preserves the phenomena being measured.
 class DistRuntime {
  public:
-  /// `comm_timeout_seconds` bounds every collective wait: < 0 reads the
-  /// TRKX_COMM_TIMEOUT_MS environment variable (unset/empty = no
-  /// timeout); 0 = no timeout; > 0 is the bound in seconds.
+  /// `comm_timeout_seconds` bounds every collective wait: 0 = no
+  /// timeout; > 0 is the bound in seconds.
   explicit DistRuntime(int num_ranks,
                        AllReduceCostModel cost_model = AllReduceCostModel{},
-                       double comm_timeout_seconds = -1.0);
+                       double comm_timeout_seconds = 0.0);
   ~DistRuntime();
 
   int size() const { return num_ranks_; }

@@ -20,9 +20,8 @@ std::string flag_or_env(const ArgParser& args, const std::string& flag,
   return v;
 }
 
-int period_flag_or_env(const ArgParser& args) {
-  int v = args.get_int("timeseries-period-ms", 0);
-  if (v <= 0) v = static_cast<int>(env::get_int("TRKX_TIMESERIES_MS"));
+int period_flag(const ArgParser& args) {
+  const int v = args.get_int("timeseries-period-ms", 200);
   return v > 0 ? v : 200;
 }
 
@@ -37,7 +36,7 @@ ObsExport::ObsExport(const ArgParser& args)
       metrics_path_(flag_or_env(args, "metrics-out", "TRKX_METRICS")),
       timeseries_path_(
           flag_or_env(args, "timeseries-out", "TRKX_TIMESERIES")),
-      timeseries_period_ms_(period_flag_or_env(args)) {
+      timeseries_period_ms_(period_flag(args)) {
   set_run_tool(basename_of(args.program()));
   arm();
 }

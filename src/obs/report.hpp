@@ -11,8 +11,8 @@ class ArgParser;
 /// TRKX_TRACE / TRKX_METRICS / TRKX_TIMESERIES environment variables as
 /// fallbacks), registers the binary name as the RunManifest tool, starts
 /// the global TraceSession when a trace is requested, and starts the
-/// background MetricsSnapshotter (cadence `--timeseries-period-ms`, env
-/// TRKX_TIMESERIES_MS, default 200) when a time series is requested;
+/// background MetricsSnapshotter (cadence `--timeseries-period-ms`,
+/// default 200) when a time series is requested;
 /// destruction stops the snapshotter and writes the requested files,
 /// each stamped with the RunManifest. Near-zero cost when no flag is
 /// given.

@@ -17,7 +17,7 @@ namespace trkx {
 /// a time series: every `period_ms` it merges the lock-free registry
 /// (counters, gauges, histogram percentiles), refreshes process gauges
 /// (RSS / peak RSS / page faults), runs any registered sampler hooks
-/// (e.g. TensorPool occupancy, installed by the pipeline layer), derives
+/// (gauges from layers obs cannot include), derives
 /// per-counter rates since the previous tick, and appends one JSONL line:
 ///
 ///   {"manifest": {...}}                                  <- first line
@@ -59,8 +59,7 @@ class MetricsSnapshotter {
   /// Register a named hook run before every sample; hooks publish gauges
   /// into the metrics registry (the snapshotter then reads them like any
   /// other metric). Layered subsystems the obs module cannot include
-  /// (TensorPool, prefetch queues) bridge in through this. Re-registering
-  /// a name replaces the hook.
+  /// bridge in through this. Re-registering a name replaces the hook.
   void add_sampler(const std::string& name, std::function<void()> fn);
 
   /// Refresh process.{rss_bytes,peak_rss_bytes,minor_faults,major_faults}

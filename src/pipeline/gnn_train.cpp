@@ -8,10 +8,8 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/checkpoint.hpp"
-#include "tensor/pool.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -380,19 +378,9 @@ void run_shadow_training(ShadowTrainContext ctx) {
   const bool checkpointing = !config.checkpoint_dir.empty();
   const std::uint64_t fingerprint =
       checkpoint_fingerprint(config, ctx.sampler_kind, world);
-  if (is_root) {
-    // Stamp the run's config identity into every obs artifact (bench
-    // JSON, trace metadata, time-series header) and bridge the pool stats
-    // into the snapshotter — obs cannot include tensor/, so the gauge is
-    // published from here via a sampler hook.
-    set_run_fingerprint(fingerprint);
-    MetricsSnapshotter::global().add_sampler("tensor_pool", [] {
-      const TensorPool::Stats pstats = TensorPool::stats();
-      metrics().gauge("pool.bytes_cached")
-          .set(static_cast<double>(pstats.bytes_cached));
-      metrics().gauge("pool.hit_rate").set(pstats.hit_rate());
-    });
-  }
+  // Stamp the run's config identity into every obs artifact (bench JSON,
+  // trace metadata, time-series header).
+  if (is_root) set_run_fingerprint(fingerprint);
   std::size_t start_epoch = 0;
   std::vector<TrainCheckpointState::EpochSummary> summaries;
   std::string boundary_blob;
@@ -585,16 +573,6 @@ void run_shadow_training(ShadowTrainContext ctx) {
       metrics().counter("prefetch.stalls").add(ps.stalls);
       metrics().counter("prefetch.units").add(ps.gets);
       metrics().counter("prefetch.inline_units").add(ps.inline_runs);
-    }
-
-    if (is_root) {
-      TRKX_TRACE_SPAN("pool.publish", "pool");
-      const TensorPool::Stats pstats = TensorPool::stats();
-      metrics().gauge("pool.hit_rate").set(pstats.hit_rate());
-      metrics().gauge("pool.hits").set(static_cast<double>(pstats.hits));
-      metrics().gauge("pool.misses").set(static_cast<double>(pstats.misses));
-      metrics().gauge("pool.bytes_cached")
-          .set(static_cast<double>(pstats.bytes_cached));
     }
 
     record.train_loss =

@@ -58,11 +58,10 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
   for (std::size_t r = 0; r < num_roots; ++r) root_rngs.push_back(rng.split());
 
   WallTimer timer;
-  const bool fused = config_.fused_sampling && !config_.generic_spgemm;
   for (std::size_t level = 0; level < config_.depth; ++level) {
     if (frontier.empty()) break;
     CsrMatrix sampled;
-    if (fused) {
+    if (!config_.generic_spgemm) {
       // Fused dataflow: row extraction (P = Q·A ≡ row selection of A),
       // row normalisation, and the neighbour draw all happen in one pass
       // over the adjacency's CSR rows — P is never materialised. Samples
@@ -85,21 +84,15 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
         stats->sampled_nnz += sampled.nnz();
       }
     } else {
-      // P = Q·A: each row is one frontier vertex's neighbourhood. Q has
-      // one nonzero per row, so the product is a row selection of A; the
-      // generic_spgemm path runs the same product through the general
-      // kernel (identical result, used for validation and as the paper's
-      // literal formulation).
+      // P = Q·A: each row is one frontier vertex's neighbourhood, computed
+      // by the general SpGEMM kernel — the paper's literal formulation,
+      // kept as the unfused reference the fast path is tested against.
       timer.reset();
       CsrMatrix p;
       {
         TRKX_TRACE_SPAN("shadow.spgemm", "sample");
-        if (config_.generic_spgemm) {
-          const CsrMatrix q = CsrMatrix::selection(n, frontier);
-          p = spgemm(q, sym_adj_);
-        } else {
-          p = sym_adj_.select_rows(frontier);
-        }
+        const CsrMatrix q = CsrMatrix::selection(n, frontier);
+        p = spgemm(q, sym_adj_);
       }
       metrics().counter("sample.spgemm_calls").add(1);
       metrics().counter("sample.frontier_rows").add(frontier.size());

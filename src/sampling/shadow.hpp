@@ -13,18 +13,14 @@ struct ShadowConfig {
   std::size_t depth = 3;   ///< d: random-walk/frontier expansion depth
   std::size_t fanout = 6;  ///< s: distinct neighbours kept per vertex
   /// Matrix sampler only: run the Q·A products and subgraph extraction
-  /// through the general SpGEMM kernels (the paper's literal formulation)
-  /// instead of the specialised row/column-selection fast path. Both paths
-  /// produce identical samples; the fast path exploits Q having one
-  /// nonzero per row (Q·A ≡ row selection), which is how a tuned
-  /// implementation realises the same algebra.
+  /// through the general SpGEMM kernels (the paper's literal formulation),
+  /// then normalise P and draw from it, instead of the fast path. Both
+  /// paths produce identical samples; the fast path exploits Q having one
+  /// nonzero per row (Q·A ≡ row selection) and fuses row extraction, row
+  /// normalisation and neighbour drawing into one pass over the
+  /// adjacency's CSR rows, which is how a tuned implementation realises
+  /// the same algebra.
   bool generic_spgemm = false;
-  /// Matrix sampler fast path only: fuse row extraction, row
-  /// normalisation, and neighbour drawing into a single pass over the
-  /// adjacency's CSR rows (no intermediate P matrix). Bit-identical
-  /// samples; ignored when generic_spgemm is set (that path exists to
-  /// exercise the unfused algebra).
-  bool fused_sampling = true;
 };
 
 /// One sampled minibatch: the disjoint union of every batch vertex's

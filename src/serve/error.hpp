@@ -31,8 +31,8 @@ class DeadlineExceededError : public Error {
 };
 
 /// One stage attempt exceeded its per-stage wall-time budget
-/// (TRKX_SERVE_STAGE_TIMEOUT_MS). Counted as a failed attempt against the
-/// retry budget; surfaces as RetryExhaustedError once that runs out.
+/// (ServeConfig::stage_timeout_ms). Counted as a failed attempt against
+/// the retry budget; surfaces as RetryExhaustedError once that runs out.
 class StageTimeoutError : public Error {
  public:
   using Error::Error;

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   fault::Registry::global().arm_from_env();
   std::signal(SIGHUP, on_sighup);
 
-  serve::ServeConfig serve_cfg = serve::ServeConfig::from_env();
+  serve::ServeConfig serve_cfg;
   serve_cfg.workers = args.get_int("workers", serve_cfg.workers);
   serve_cfg.queue_depth = static_cast<std::size_t>(
       args.get_int("queue-depth", static_cast<int>(serve_cfg.queue_depth)));

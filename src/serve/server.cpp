@@ -6,29 +6,10 @@
 #include <utility>
 
 #include "pipeline/track_fit.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
 namespace trkx::serve {
-
-ServeConfig ServeConfig::from_env() {
-  ServeConfig cfg;
-  cfg.workers = static_cast<int>(env::get_int("TRKX_SERVE_WORKERS"));
-  cfg.queue_depth =
-      static_cast<std::size_t>(env::get_int("TRKX_SERVE_QUEUE_DEPTH"));
-  cfg.default_deadline_ms = env::get_int("TRKX_SERVE_DEADLINE_MS");
-  cfg.stage_timeout_ms = env::get_int("TRKX_SERVE_STAGE_TIMEOUT_MS");
-  cfg.retry_budget = static_cast<int>(env::get_int("TRKX_SERVE_RETRY_BUDGET"));
-  const double high = env::get_double("TRKX_SERVE_SHED_HIGH_PCT");
-  const double low = env::get_double("TRKX_SERVE_SHED_LOW_PCT");
-  TRKX_CHECK_MSG(low >= 0.0 && high <= 100.0 && low < high,
-                 "TRKX_SERVE_SHED_*_PCT: need 0 <= low < high <= 100, got low="
-                     << low << " high=" << high);
-  cfg.degrade.high = high / 100.0;
-  cfg.degrade.low = low / 100.0;
-  return cfg;
-}
 
 ServeServer::ServeServer(ReplicaSet& replicas, const ServeConfig& config)
     : config_(config),

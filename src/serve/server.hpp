@@ -14,28 +14,23 @@
 
 namespace trkx::serve {
 
-/// Runtime shape of the inference server. Every field has a TRKX_SERVE_*
-/// environment knob (see from_env()); the defaults are sized for the
-/// perf-smoke scale used in tests.
+/// Runtime shape of the inference server; the defaults are sized for the
+/// perf-smoke scale used in tests. ServeServer rejects invalid values
+/// with trkx::Error.
 struct ServeConfig {
-  int workers = 2;                     ///< TRKX_SERVE_WORKERS
-  std::size_t queue_depth = 8;         ///< TRKX_SERVE_QUEUE_DEPTH
+  int workers = 2;
+  std::size_t queue_depth = 8;
   /// Default per-request wall-clock budget in ms applied by the
-  /// two-argument submit(); 0 = unbounded. TRKX_SERVE_DEADLINE_MS.
+  /// two-argument submit(); 0 = unbounded.
   std::int64_t default_deadline_ms = 0;
   /// Per-stage latency budget in ms; a stage exceeding it counts as a
   /// failed attempt (retried within the budget, then StageTimeoutError).
-  /// 0 = no per-stage timeout. TRKX_SERVE_STAGE_TIMEOUT_MS.
+  /// 0 = no per-stage timeout.
   std::int64_t stage_timeout_ms = 0;
   /// Stage attempts beyond the first; 0 = fail fast.
-  /// TRKX_SERVE_RETRY_BUDGET.
   int retry_budget = 1;
   double b_field_tesla = 2.0;  ///< solenoid field for the fit stage [T]
-  DegradeConfig degrade{};     ///< high/low from TRKX_SERVE_SHED_*_PCT
-
-  /// Build a config from the TRKX_SERVE_* knobs (registry defaults when
-  /// unset). Invalid combinations fail fast with trkx::Error.
-  static ServeConfig from_env();
+  DegradeConfig degrade{};
 };
 
 /// One consistent snapshot of the server's failure-mode accounting. Every

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "tensor/pool.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -19,11 +18,6 @@ namespace trkx {
 /// graphs only ever needs rank-2 data (node features n×f, edge features
 /// m×f, parameters f×f), so a dedicated 2-D type keeps kernels simple and
 /// fast. Vectors are represented as 1×n or n×1 matrices.
-///
-/// Storage is recycled through TensorPool: constructing and destroying a
-/// Matrix of a previously-seen size is a thread-local free-list pop/push,
-/// which is what keeps the autograd tape's per-op allocations off the
-/// system allocator.
 class Matrix {
  public:
   Matrix() = default;
@@ -106,7 +100,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  PooledFloatBuffer data_;
+  std::vector<float> data_;
 };
 
 }  // namespace trkx

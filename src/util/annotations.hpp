@@ -10,8 +10,8 @@
 /// (TRKX_GUARDED_BY) and which functions expect a lock to be held
 /// (TRKX_REQUIRES); a Clang build then proves at compile time that every
 /// access happens under the right lock. The repo's concurrency claims —
-/// lock-free sharded metrics, the prefetch producer/consumer, pooled
-/// buffers migrating between threads — are exactly where such proofs pay
+/// lock-free sharded metrics, the prefetch producer/consumer, buffers
+/// migrating between threads — are exactly where such proofs pay
 /// off, so `-Wthread-safety -Werror=thread-safety` is enabled for every
 /// Clang build (see the top-level CMakeLists.txt). GCC compiles the
 /// attributes away; the sanitizer matrix (TRKX_SANITIZE) covers the
@@ -65,11 +65,11 @@
   TRKX_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 /// Marks an inference-stage entry point whose transitive call closure must
-/// stay free of heap allocation (outside the TensorPool front door) and of
-/// blocking operations. Expands to nothing — it is a marker for
-/// trkx-analyze's hot-path pass, which walks the call graph from every
-/// annotated function and reports trkx-hot-alloc / trkx-hot-block
-/// violations. Annotate declarations, not call sites.
+/// stay free of heap allocation and of blocking operations. Expands to
+/// nothing — it is a marker for trkx-analyze's hot-path pass, which walks
+/// the call graph from every annotated function and reports
+/// trkx-hot-alloc / trkx-hot-block violations. Annotate declarations, not
+/// call sites.
 #define TRKX_HOT
 
 namespace trkx {

@@ -17,15 +17,9 @@ namespace {
 /// new knob lands as: (1) a row here, (2) an accessor call site, (3) a
 /// regenerated README table. Keep the doc strings one line.
 constexpr Knob kKnobs[] = {
-    {"TRKX_BENCH_JSON", "",
-     "Default output path for the unified bench JSON artifact (same as "
-     "--json-out)"},
     {"TRKX_CHECK_NUMERICS", "0",
      "Enable forward/backward finiteness checks through the autograd tape "
      "(debug mode)"},
-    {"TRKX_COMM_TIMEOUT_MS", "0",
-     "Collective-communication timeout in milliseconds; 0 or unset "
-     "disables the timeout"},
     {"TRKX_FAULTS", "",
      "Arm deterministic fault injection: `;`-separated "
      "site:kind[:key=value...] clauses"},
@@ -34,35 +28,11 @@ constexpr Knob kKnobs[] = {
      "provenance"},
     {"TRKX_METRICS", "",
      "Write the metrics-registry JSON to this path at exit"},
-    {"TRKX_SERVE_DEADLINE_MS", "0",
-     "trkx-serve default per-request deadline in milliseconds; 0 means "
-     "unbounded"},
-    {"TRKX_SERVE_QUEUE_DEPTH", "8",
-     "trkx-serve bounded admission-queue capacity; a full queue rejects "
-     "with OverloadError"},
-    {"TRKX_SERVE_RETRY_BUDGET", "1",
-     "trkx-serve per-stage retry attempts beyond the first; 0 fails fast"},
-    {"TRKX_SERVE_SHED_HIGH_PCT", "75",
-     "trkx-serve queue-occupancy percentage above which the degradation "
-     "ladder escalates"},
-    {"TRKX_SERVE_SHED_LOW_PCT", "25",
-     "trkx-serve queue-occupancy percentage below which the degradation "
-     "ladder recovers"},
-    {"TRKX_SERVE_STAGE_TIMEOUT_MS", "0",
-     "trkx-serve per-stage latency budget in milliseconds; 0 disables the "
-     "stage timeout"},
-    {"TRKX_SERVE_WORKERS", "2",
-     "trkx-serve worker-thread count draining the admission queue"},
     {"TRKX_SIMD", "auto",
      "Kernel dispatch table: auto (cpuid resolves), avx2, or scalar"},
-    {"TRKX_TENSOR_POOL", "1",
-     "Size-bucketed tensor pooling; set 0 to route every Matrix buffer "
-     "through the heap"},
     {"TRKX_TIMESERIES", "",
      "Start the metrics snapshotter and append time-series JSONL to this "
      "path"},
-    {"TRKX_TIMESERIES_MS", "200",
-     "Metrics-snapshotter sampling period in milliseconds"},
     {"TRKX_TRACE", "",
      "Start the span tracer and write Chrome-trace JSON to this path at "
      "exit"},
@@ -122,28 +92,6 @@ bool is_set(const std::string& name) {
 }
 
 std::string get_string(const std::string& name) { return effective(name); }
-
-long get_int(const std::string& name) {
-  const std::string v = effective(name);
-  char* end = nullptr;
-  const long out = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str()) {
-    const std::string d = require(name).def;
-    return std::strtol(d.c_str(), nullptr, 10);
-  }
-  return out;
-}
-
-double get_double(const std::string& name) {
-  const std::string v = effective(name);
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) {
-    const std::string d = require(name).def;
-    return std::strtod(d.c_str(), nullptr);
-  }
-  return out;
-}
 
 bool get_bool(const std::string& name) {
   const std::string v = effective(name);

@@ -8,7 +8,7 @@
 /// Central registry of every TRKX_* runtime environment knob.
 ///
 /// The scattered `std::getenv("TRKX_...")` call sites grew one per PR —
-/// tracing, pooling, SIMD dispatch, fault injection — until no single
+/// tracing, SIMD dispatch, fault injection — until no single
 /// place could answer "what knobs exist, what do they default to, and
 /// where are they documented?". All runtime knobs now route through
 /// `trkx::env::get_*`, which validates the name against the static
@@ -54,14 +54,6 @@ bool is_set(const std::string& name);
 
 /// String value; unset/empty falls back to the registry default.
 std::string get_string(const std::string& name);
-
-/// Integer value; unset/empty/non-numeric falls back to the registry
-/// default.
-long get_int(const std::string& name);
-
-/// Floating-point value; unset/empty/non-numeric falls back to the
-/// registry default.
-double get_double(const std::string& name);
 
 /// Boolean value: "0", "false", "off", "no" (case-sensitive) are false,
 /// any other non-empty value is true; unset/empty falls back to the

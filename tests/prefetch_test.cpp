@@ -1,18 +1,16 @@
 // Tests for the sampler↔trainer overlap pipeline and its supporting
-// pieces: PrefetchQueue, TensorPool, the balanced shard_batch partition,
+// pieces: PrefetchQueue, the balanced shard_batch partition,
 // parallel evaluate_edges, and — the load-bearing property — bit-identical
 // pipelined vs serial training for both sampler kinds.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "pipeline/gnn_train.hpp"
-#include "tensor/pool.hpp"
 #include "util/prefetch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,83 +88,6 @@ TEST(PrefetchQueueTest, AbandonedMidSequenceDrainsCleanly) {
   }
   EXPECT_GE(produced.load(), 2);
   EXPECT_LE(produced.load(), 7);  // 2 consumed + at most depth+1 in flight
-}
-
-// ---------- TensorPool ----------
-
-TEST(TensorPoolTest, RecyclesFreedBuffersWithinThread) {
-  const bool was_enabled = TensorPool::enabled();
-  TensorPool::set_enabled(true);
-  TensorPool::clear_thread_cache();
-  TensorPool::reset_stats();
-
-  void* a = TensorPool::acquire(1000);
-  ASSERT_NE(a, nullptr);
-  TensorPool::release(a, 1000);
-  // Same bucket (1024) → must be served from the free list.
-  void* b = TensorPool::acquire(600);
-  EXPECT_EQ(b, a);
-  TensorPool::release(b, 600);
-
-  const auto s = TensorPool::stats();
-  EXPECT_GE(s.hits, 1u);
-  EXPECT_GE(s.returns, 2u);
-  EXPECT_GT(s.hit_rate(), 0.0);
-
-  TensorPool::clear_thread_cache();
-  TensorPool::set_enabled(was_enabled);
-}
-
-TEST(TensorPoolTest, DisabledPoolStillAllocates) {
-  const bool was_enabled = TensorPool::enabled();
-  TensorPool::set_enabled(false);
-  TensorPool::clear_thread_cache();
-
-  void* a = TensorPool::acquire(512);
-  ASSERT_NE(a, nullptr);
-  std::memset(a, 0xab, 512);
-  TensorPool::release(a, 512);
-  void* b = TensorPool::acquire(512);
-  ASSERT_NE(b, nullptr);
-  TensorPool::release(b, 512);
-
-  TensorPool::set_enabled(was_enabled);
-}
-
-TEST(TensorPoolTest, ZeroByteAcquireReturnsNull) {
-  EXPECT_EQ(TensorPool::acquire(0), nullptr);
-  TensorPool::release(nullptr, 0);  // no-op
-}
-
-TEST(TensorPoolTest, ClearThreadCacheDropsCachedBytes) {
-  const bool was_enabled = TensorPool::enabled();
-  TensorPool::set_enabled(true);
-  TensorPool::clear_thread_cache();
-
-  void* a = TensorPool::acquire(4096);
-  TensorPool::release(a, 4096);
-  EXPECT_GE(TensorPool::stats().bytes_cached, 4096u);
-  TensorPool::clear_thread_cache();
-  EXPECT_EQ(TensorPool::stats().bytes_cached, 0u);
-
-  TensorPool::set_enabled(was_enabled);
-}
-
-TEST(TensorPoolTest, PooledBuffersMigrateAcrossThreads) {
-  // Produce on one thread, free on another — the pattern the prefetch
-  // pipeline creates. Must not crash or double count cached bytes.
-  const bool was_enabled = TensorPool::enabled();
-  TensorPool::set_enabled(true);
-  void* p = nullptr;
-  std::thread producer([&] { p = TensorPool::acquire(2048); });
-  producer.join();
-  ASSERT_NE(p, nullptr);
-  TensorPool::release(p, 2048);  // freed on this thread's cache
-  void* q = TensorPool::acquire(2048);
-  EXPECT_EQ(q, p);  // recycled from this thread's free list
-  TensorPool::release(q, 2048);
-  TensorPool::clear_thread_cache();
-  TensorPool::set_enabled(was_enabled);
 }
 
 // ---------- shard_batch ----------

@@ -121,7 +121,7 @@ TEST_F(ServeTest, DeadlineUnboundedByDefault) {
   EXPECT_FALSE(d.bounded());
   EXPECT_FALSE(d.expired());
   EXPECT_EQ(d.overshoot_ms(), 0.0);
-  // after_ms(0) means "no budget", matching TRKX_SERVE_DEADLINE_MS=0.
+  // after_ms(0) means "no budget", matching default_deadline_ms = 0.
   EXPECT_FALSE(serve::Deadline::after_ms(0).bounded());
   EXPECT_TRUE(serve::Deadline::after_ms(5).bounded());
 }
@@ -232,6 +232,14 @@ TEST_F(ServeTest, DegradePlanMapsLevelsToStageChanges) {
   EXPECT_EQ(ladder.level(), 3);
 }
 
+TEST_F(ServeTest, DegradeRejectsLowAtOrAboveHigh) {
+  serve::DegradeConfig cfg;
+  cfg.low = cfg.high;
+  EXPECT_THROW((serve::DegradeController{cfg}), Error);
+  cfg.low = cfg.high + 0.1;
+  EXPECT_THROW((serve::DegradeController{cfg}), Error);
+}
+
 // ---------------------------------------------------------------------------
 // ServeServer end-to-end.
 
@@ -275,6 +283,16 @@ TEST_F(ServeTest, SubmitOnStoppedServerThrowsTyped) {
   server.stop();
   EXPECT_THROW(server.submit(payloads_[0], serve::Priority::kNormal),
                serve::ServerStoppedError);
+}
+
+TEST_F(ServeTest, ServerRejectsInvalidConfig) {
+  auto replicas = make_replicas();
+  serve::ServeConfig cfg;
+  cfg.workers = 0;
+  EXPECT_THROW((serve::ServeServer{*replicas, cfg}), Error);
+  cfg = serve::ServeConfig{};
+  cfg.retry_budget = -1;
+  EXPECT_THROW((serve::ServeServer{*replicas, cfg}), Error);
 }
 
 TEST_F(ServeTest, BackpressureRejectsBurstBeyondQueue) {

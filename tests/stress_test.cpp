@@ -2,7 +2,7 @@
 // leg of the sanitizer matrix (scripts/check_static.sh --tsan) runs them
 // under -fsanitize=thread. Each test drives a shared-state component from
 // several threads at once: these are the schedules where a missing
-// happens-before edge in PrefetchQueue, TensorPool, the obs registry, or
+// happens-before edge in PrefetchQueue, the obs registry, or
 // the DDP gradient sync would surface as a TSan report.
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "tensor/pool.hpp"
 #include "util/annotations.hpp"
 #include "util/log.hpp"
 #include "util/prefetch.hpp"
@@ -72,82 +71,21 @@ TEST(PrefetchStressTest, ConsumerAbandonsMidSequenceRepeatedly) {
 TEST(PrefetchStressTest, PooledBuffersMigrateProducerToConsumer) {
   ThreadPool pool(4);
   const std::size_t n = 96;
-  // Producers allocate through TensorPool on pool threads; the consumer
-  // frees on the main thread — the cross-thread free-list migration path.
+  // Producers allocate on pool threads; the consumer frees on the main
+  // thread — buffers cross threads the way prefetched batches do.
   auto produce = [](std::size_t i) {
-    std::vector<float, PoolAllocator<float>> v(256 + i);
+    std::vector<float> v(256 + i);
     for (std::size_t j = 0; j < v.size(); ++j)
       v[j] = static_cast<float>(i + j);
     return v;
   };
-  PrefetchQueue<std::vector<float, PoolAllocator<float>>> queue(&pool, 6, n,
-                                                                produce);
+  PrefetchQueue<std::vector<float>> queue(&pool, 6, n, produce);
   for (std::size_t i = 0; i < n; ++i) {
     auto v = queue.get(i);
     ASSERT_EQ(v.size(), 256 + i);
     EXPECT_FLOAT_EQ(v[i % v.size()],
                     static_cast<float>(i + i % v.size()));
   }
-}
-
-// ---------- TensorPool ----------
-
-TEST(TensorPoolStressTest, AcquireReleaseChurnAcrossThreads) {
-  const int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::atomic<bool> failed{false};
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &failed] {
-      const std::size_t sizes[] = {64, 300, 1024, 5000, 70000};
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t bytes =
-            sizes[static_cast<std::size_t>(i + t) % 5];
-        void* p = TensorPool::acquire(bytes);
-        if (p == nullptr) {
-          failed = true;
-          return;
-        }
-        // Touch first/last byte: poisoned or foreign memory traps here.
-        auto* bp = static_cast<unsigned char*>(p);
-        bp[0] = static_cast<unsigned char>(t);
-        bp[bytes - 1] = static_cast<unsigned char>(i);
-        if (bp[0] != static_cast<unsigned char>(t)) failed = true;
-        TensorPool::release(p, bytes);
-      }
-      TensorPool::clear_thread_cache();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(failed.load());
-}
-
-TEST(TensorPoolStressTest, StatsReadersRaceChurningWriters) {
-  std::atomic<bool> stop{false};
-  std::thread reader([&stop] {
-    while (!stop.load()) {
-      TensorPool::Stats s = TensorPool::stats();
-      // hits/misses are monotone per thread; the merged view must never
-      // go "negative" (they are unsigned — just consume the values).
-      (void)s.hit_rate();
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 3; ++t) {
-    writers.emplace_back([] {
-      for (int i = 0; i < kIters; ++i) {
-        void* p = TensorPool::acquire(512);
-        TensorPool::release(p, 512);
-      }
-      TensorPool::clear_thread_cache();
-    });
-  }
-  for (auto& w : writers) w.join();
-  stop = true;
-  reader.join();
-  TensorPool::reset_stats();
-  TensorPool::Stats s = TensorPool::stats();
-  EXPECT_EQ(s.hits + s.misses, 0u);
 }
 
 // ---------- Metrics registry ----------
@@ -250,10 +188,7 @@ TEST(MetricsStressTest, SnapshotterAndRegistryLockOrderWitness) {
       while (!stop.load()) {
         metrics().counter("stress.order.count").add(1);
         metrics().gauge("stress.order.gauge").set(1.0);
-        void* p = TensorPool::acquire(256);
-        TensorPool::release(p, 256);
       }
-      TensorPool::clear_thread_cache();
     });
   }
   for (int round = 0; round < 4; ++round) {
@@ -263,12 +198,6 @@ TEST(MetricsStressTest, SnapshotterAndRegistryLockOrderWitness) {
       // re-entering the registry here is the documented (only) direction.
       metrics().gauge("stress.order.hook").set(static_cast<double>(
           metrics().counter("stress.order.count").value()));
-    });
-    snap.add_sampler("pool", [] {
-      // The gnn_train bridge: pool internals -> registry gauge, on the
-      // sampling thread — the third lock domain in the certified order.
-      const TensorPool::Stats s = TensorPool::stats();
-      metrics().gauge("stress.order.pool").set(s.hit_rate());
     });
     snap.start({.path = path, .period_ms = 1});
     for (int i = 0; i < 50; ++i) {

@@ -461,10 +461,14 @@ TEST(EnvRegistry, KnownKnobsRegisteredAndSorted) {
   ASSERT_FALSE(ks.empty());
   EXPECT_TRUE(env::is_registered("TRKX_SIMD"));
   EXPECT_TRUE(env::is_registered("TRKX_FAULTS"));
-  EXPECT_TRUE(env::is_registered("TRKX_TENSOR_POOL"));
   EXPECT_FALSE(env::is_registered("TRKX_NOT_A_KNOB"));
-  // Knobs deleted together with the mechanism they tuned stay deleted.
-  for (const char* removed : {"MEM_PLAN", "POOL_MAX_MB"})
+  // Knobs deleted together with the mechanism they tuned, or because they
+  // only shadowed a flag or a config default, stay deleted.
+  for (const char* removed :
+       {"MEM_PLAN", "POOL_MAX_MB", "TENSOR_POOL", "BENCH_JSON",
+        "COMM_TIMEOUT_MS", "TIMESERIES_MS", "SERVE_DEADLINE_MS",
+        "SERVE_QUEUE_DEPTH", "SERVE_RETRY_BUDGET", "SERVE_SHED_HIGH_PCT",
+        "SERVE_SHED_LOW_PCT", "SERVE_STAGE_TIMEOUT_MS", "SERVE_WORKERS"})
     EXPECT_FALSE(env::is_registered(std::string("TRKX_") + removed))
         << removed;
   for (std::size_t i = 1; i < ks.size(); ++i)
@@ -482,28 +486,15 @@ TEST(EnvRegistry, UnregisteredKnobThrows) {
 }
 
 TEST(EnvRegistry, TypedAccessorsAndDefaults) {
-  ::unsetenv("TRKX_TIMESERIES_MS");
-  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 200);  // registry default
-  ::setenv("TRKX_TIMESERIES_MS", "64", 1);
-  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 64);
-  ::setenv("TRKX_TIMESERIES_MS", "not-a-number", 1);
-  EXPECT_EQ(env::get_int("TRKX_TIMESERIES_MS"), 200);  // falls back
-  ::unsetenv("TRKX_TIMESERIES_MS");
-
-  ::unsetenv("TRKX_TENSOR_POOL");
-  EXPECT_TRUE(env::get_bool("TRKX_TENSOR_POOL"));  // default "1"
-  ::setenv("TRKX_TENSOR_POOL", "0", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_TENSOR_POOL"));
-  ::setenv("TRKX_TENSOR_POOL", "off", 1);
-  EXPECT_FALSE(env::get_bool("TRKX_TENSOR_POOL"));
-  ::setenv("TRKX_TENSOR_POOL", "yes", 1);
-  EXPECT_TRUE(env::get_bool("TRKX_TENSOR_POOL"));
-  ::unsetenv("TRKX_TENSOR_POOL");
-
-  ::setenv("TRKX_COMM_TIMEOUT_MS", "1500.5", 1);
-  EXPECT_DOUBLE_EQ(env::get_double("TRKX_COMM_TIMEOUT_MS"), 1500.5);
-  ::unsetenv("TRKX_COMM_TIMEOUT_MS");
-  EXPECT_DOUBLE_EQ(env::get_double("TRKX_COMM_TIMEOUT_MS"), 0.0);
+  ::unsetenv("TRKX_CHECK_NUMERICS");
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));  // default "0"
+  ::setenv("TRKX_CHECK_NUMERICS", "0", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::setenv("TRKX_CHECK_NUMERICS", "off", 1);
+  EXPECT_FALSE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::setenv("TRKX_CHECK_NUMERICS", "yes", 1);
+  EXPECT_TRUE(env::get_bool("TRKX_CHECK_NUMERICS"));
+  ::unsetenv("TRKX_CHECK_NUMERICS");
 
   ::unsetenv("TRKX_SIMD");
   EXPECT_EQ(env::get_string("TRKX_SIMD"), "auto");
