@@ -1,6 +1,7 @@
 // Kernel-layer roofline: per-kernel bandwidth (GB/s) and arithmetic
-// throughput (GFLOP/s) for the scalar and AVX2 dispatch tables at
-// pipeline-representative shapes.
+// throughput (GFLOP/s) for the scalar and AVX2 dispatch tables, at the
+// fixed 8192×64 trajectory shape plus the GEMM shapes of one IGNN edge-MLP
+// layer (forward, dX, dW).
 //
 //   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
 //
@@ -56,12 +57,21 @@ struct Workload {
   double scalar_s = 0.0;
 };
 
-/// Pipeline-representative shapes: hidden_dim 64 message passing over
-/// ~8k-node sampled subgraphs (ShaDow depth-2 fanout-4 batches).
+/// The roofline shape of the committed trajectory: 8192×64 hidden states,
+/// a 64×64 GEMM. It stays fixed so check_regression.py compares these
+/// series like for like.
 constexpr std::size_t kRows = 8192;
 constexpr std::size_t kCols = 64;
 constexpr std::size_t kInner = 64;
 constexpr std::size_t kEwN = kRows * kCols;
+
+/// The IGNN shapes the training workloads run (hidden 32): the edge MLP's
+/// first layer maps the 6h = 192-wide message input of kEdges sampled
+/// edges to 32 features. Its backward runs dX through gemm_nt and the
+/// weight gradient dW as a gemm_tn reduction over the edges.
+constexpr std::size_t kEdges = 6451;
+constexpr std::size_t kMsgIn = 192;
+constexpr std::size_t kHidden = 32;
 
 void run_isa(const kernels::KernelTable& t, int reps, int inner,
              std::vector<Workload>& loads, BenchJsonWriter& json,
@@ -72,6 +82,13 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   const Matrix x = Matrix::random_normal(kRows, kCols, rng);
   const Matrix y = Matrix::random_normal(kRows, kCols, rng);
   Matrix out(kRows, kCols);
+  const Matrix bt = Matrix::random_normal(kCols, kInner, rng);
+  Matrix out_tn(kInner, kCols);
+  const Matrix msg = Matrix::random_normal(kEdges, kMsgIn, rng);
+  const Matrix w_msg = Matrix::random_normal(kMsgIn, kHidden, rng);
+  const Matrix d_out = Matrix::random_normal(kEdges, kHidden, rng);
+  Matrix edge_out(kEdges, kHidden), edge_dx(kEdges, kMsgIn);
+  Matrix edge_dw(kMsgIn, kHidden);
   std::vector<float> gamma(kCols, 1.0f), beta(kCols, 0.1f);
   std::vector<float> xhat(kEwN), inv_std(kRows), colsum(kCols);
 
@@ -99,16 +116,62 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
     double bytes;
     double flops;
     std::function<void()> fn;
+    std::size_t rows = kRows;  // output shape, reported as params
+    std::size_t cols = kCols;
   };
   const double fR = static_cast<double>(kRows), fC = static_cast<double>(kCols),
                fK = static_cast<double>(kInner), fN = static_cast<double>(kEwN);
+  /// Bytes and flops of one m×k·k×n GEMM (C read and written once).
+  const auto gemm_bytes = [](double m, double k, double n) {
+    return 4.0 * (m * k + k * n + 2.0 * m * n);
+  };
+  const auto gemm_flops = [](double m, double k, double n) {
+    return 2.0 * m * k * n;
+  };
+  const double fE = static_cast<double>(kEdges),
+               fM = static_cast<double>(kMsgIn),
+               fH = static_cast<double>(kHidden);
   std::vector<Case> cases;
-  cases.push_back({"gemm", 4.0 * (fR * fK + fK * fC + 2.0 * fR * fC),
-                   2.0 * fR * fK * fC, [&] {
+  cases.push_back({"gemm", gemm_bytes(fR, fK, fC), gemm_flops(fR, fK, fC), [&] {
                      std::memset(out.data(), 0, kEwN * sizeof(float));
                      t.gemm(a.data(), b.data(), out.data(), kRows, kInner,
                             kCols);
                    }});
+  cases.push_back({"gemm_nt", gemm_bytes(fR, fK, fC), gemm_flops(fR, fK, fC),
+                   [&] {
+                     t.gemm_nt(a.data(), bt.data(), out.data(), kRows, kInner,
+                               kCols);
+                   }});
+  cases.push_back({"gemm_tn", gemm_bytes(fK, fR, fC), gemm_flops(fK, fR, fC),
+                   [&] {
+                     out_tn.fill(0.0f);
+                     t.gemm_tn(a.data(), x.data(), out_tn.data(), kInner, kRows,
+                               kCols);
+                   },
+                   kInner, kCols});
+  cases.push_back({"gemm_edge_mlp", gemm_bytes(fE, fM, fH),
+                   gemm_flops(fE, fM, fH),
+                   [&] {
+                     edge_out.fill(0.0f);
+                     t.gemm(msg.data(), w_msg.data(), edge_out.data(), kEdges,
+                            kMsgIn, kHidden);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"gemm_nt_edge_dx", gemm_bytes(fE, fH, fM),
+                   gemm_flops(fE, fH, fM),
+                   [&] {
+                     t.gemm_nt(d_out.data(), w_msg.data(), edge_dx.data(),
+                               kEdges, kHidden, kMsgIn);
+                   },
+                   kEdges, kMsgIn});
+  cases.push_back({"gemm_tn_edge_dw", gemm_bytes(fM, fE, fH),
+                   gemm_flops(fM, fE, fH),
+                   [&] {
+                     edge_dw.fill(0.0f);
+                     t.gemm_tn(msg.data(), d_out.data(), edge_dw.data(), kMsgIn,
+                               kEdges, kHidden);
+                   },
+                   kMsgIn, kHidden});
   cases.push_back({"spmm", 4.0 * (nnz * 2.0 + fR * fC * 2.0 + nnz * fC),
                    2.0 * nnz * fC, [&] {
                      std::memset(out.data(), 0, kEwN * sizeof(float));
@@ -153,8 +216,8 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
     auto& s = json.series(std::string(k.name) + "/" + t.name);
     s.param("kernel", k.name)
         .param("isa", t.name)
-        .param("rows", static_cast<long long>(kRows))
-        .param("cols", static_cast<long long>(kCols))
+        .param("rows", static_cast<long long>(k.rows))
+        .param("cols", static_cast<long long>(k.cols))
         .metric("seconds_median", sec)
         .metric("gb_per_sec", k.bytes / sec / 1e9)
         .metric("gflops_per_sec", k.flops / sec / 1e9);

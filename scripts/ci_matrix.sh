@@ -132,12 +132,15 @@ if wants simd; then
     (cd "$dir" && TRKX_SIMD=scalar ctest --output-on-failure -j "$JOBS" \
        > ctest-scalar.log 2>&1) ||
       { status=fail; detail="ctest: $dir/ctest-scalar.log"; }
-    if grep -q avx2 /proc/cpuinfo 2> /dev/null; then
+    # kernels::host_has_avx2() needs AVX2 and FMA; a CPU model exposing
+    # AVX2 alone must skip this lap, not die on the TRKX_SIMD=avx2 check.
+    cpu_flags=$(grep -m1 '^flags' /proc/cpuinfo 2> /dev/null)
+    if grep -qw avx2 <<< "$cpu_flags" && grep -qw fma <<< "$cpu_flags"; then
       (cd "$dir" && TRKX_SIMD=avx2 ctest --output-on-failure -j "$JOBS" \
          > ctest-avx2.log 2>&1) ||
         { status=fail; detail="ctest: $dir/ctest-avx2.log"; }
     else
-      echo "[ci-matrix] simd: host lacks AVX2, scalar lap only"
+      echo "[ci-matrix] simd: host lacks AVX2+FMA, scalar lap only"
     fi
   else
     status=fail detail="build: $dir/build.log"

@@ -30,8 +30,14 @@ struct AdamStep {
 ///     segment_sum), every ew_* kernel, colwise_sum, adam_update — these
 ///     are elementwise or preserve the scalar accumulation order exactly,
 ///     and the AVX2 build never FMA-contracts them;
-///   - ULP-bounded (reassociated reductions / FMA): gemm, gemm_nt,
-///     gemm_tn, spmm, rowwise_sum, layer_norm_fwd, layer_norm_bwd_dx.
+///   - ULP-bounded: gemm, gemm_nt, gemm_tn — the AVX2 microkernel
+///     accumulates each output in the scalar k order but rounds once per
+///     FMA step (only the n == 1 dot-product paths reassociate) — and
+///     spmm, rowwise_sum, layer_norm_fwd, layer_norm_bwd_dx (FMA and
+///     reassociated 8-lane reductions).
+///   - The scalar GEMMs skip zero entries of A and the AVX2 GEMMs do not,
+///     so 0 · Inf or 0 · NaN gives NaN in the AVX2 table and is masked
+///     in the scalar one.
 ///
 /// GEMM/SpMM outputs marked "accumulating" must be zero-filled by the
 /// caller; the kernel adds into them.

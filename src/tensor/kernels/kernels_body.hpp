@@ -42,9 +42,6 @@ namespace trkx {
 namespace kernels {
 namespace TRKX_KERNELS_NS {
 
-/// Micro-kernel tile size for the k-loop blocking in gemm (one tile of B
-/// rows stays in L1; hidden dims here are ≤ 256 so simple blocking wins).
-constexpr std::size_t kTile = 64;
 /// Per-task elementwise chunk: large enough to amortise OpenMP dispatch,
 /// small enough to split pipeline-sized vectors across cores.
 constexpr std::size_t kEwBlock = 8192;
@@ -391,6 +388,164 @@ inline void adam_block(float* w, const float* g, float* m, float* v,
 // KernelTable entry points: shape loops + OpenMP, primitives per row.
 // ---------------------------------------------------------------------
 
+#if TRKX_KERNELS_AVX2
+
+// The three AVX2 GEMMs share one register-blocked microkernel. A 6×16
+// tile of C lives in 12 ymm accumulators while k runs, so C is loaded
+// and stored once per k-block, and every output accumulates in k order
+// with one FMA per step (no horizontal sums).
+
+/// Register tile: kMr rows × kNr columns of C.
+constexpr std::size_t kMr = 6;
+constexpr std::size_t kNr = 16;
+/// k-block: keeps a gemm_tn A panel (kKc rows of A) in L2 and sizes the
+/// packed Bᵀ panel of gemm_nt (kKc × kNr floats, 16 KB on the stack).
+constexpr std::size_t kKc = 256;
+
+/// C[0..R)×[0..16) = (load_c ? C : 0) + A·B over kc steps, where
+/// A(r, p) = a[r*rs + p*ks] and row p of B starts at b + p*ldb. The loops
+/// over r must unroll, or the accumulators spill to the stack.
+template <std::size_t R>
+void gemm_tile(const float* a, std::size_t rs, std::size_t ks, const float* b,
+               std::size_t ldb, float* c, std::size_t ldc, std::size_t kc,
+               bool load_c) {
+  __m256 acc0[R], acc1[R];
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < R; ++r) {
+    acc0[r] = load_c ? _mm256_loadu_ps(c + r * ldc) : _mm256_setzero_ps();
+    acc1[r] = load_c ? _mm256_loadu_ps(c + r * ldc + 8) : _mm256_setzero_ps();
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
+    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    const float* ap = a + p * ks;
+#pragma GCC unroll 6
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 ar = _mm256_broadcast_ss(ap + r * rs);
+      acc0[r] = _mm256_fmadd_ps(ar, b0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(ar, b1, acc1[r]);
+    }
+  }
+#pragma GCC unroll 6
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm256_storeu_ps(c + r * ldc, acc0[r]);
+    _mm256_storeu_ps(c + r * ldc + 8, acc1[r]);
+  }
+}
+
+/// gemm_tile for a row tile of 1..kMr rows (only the last tile of C can
+/// be short).
+inline void gemm_tile_rows(std::size_t rows, const float* a, std::size_t rs,
+                           std::size_t ks, const float* b, std::size_t ldb,
+                           float* c, std::size_t ldc, std::size_t kc,
+                           bool load_c) {
+  using TileFn = void (*)(const float*, std::size_t, std::size_t,
+                          const float*, std::size_t, float*, std::size_t,
+                          std::size_t, bool);
+  static constexpr TileFn kTiles[kMr + 1] = {
+      nullptr,       &gemm_tile<1>, &gemm_tile<2>, &gemm_tile<3>,
+      &gemm_tile<4>, &gemm_tile<5>, &gemm_tile<6>};
+  kTiles[rows](a, rs, ks, b, ldb, c, ldc, kc, load_c);
+}
+
+/// C (m×n) = (overwrite ? 0 : C) + A·B with A(i, p) = a[i*rs + p*ks] and
+/// B k×n row-major, or n×k (B is given transposed) when b_t. Every thread
+/// walks the same k-blocks and 16-column panels; a transposed panel is
+/// packed into the thread's own stack buffer. Column tails (n mod 16) go
+/// through mac_row.
+inline void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
+                         const float* b, bool b_t, float* c, std::size_t m,
+                         std::size_t k, std::size_t n, bool overwrite) {
+  const std::size_t tiles = (m + kMr - 1) / kMr;
+  float panel[kKc * kNr];  // private: each thread packs its own Bᵀ panels
+#pragma omp parallel default(none) shared(a, b, c) private(panel) \
+    firstprivate(rs, ks, b_t, m, k, n, overwrite, tiles)
+  {
+    for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
+      const std::size_t kc = std::min(std::size_t{kKc}, k - k0);
+      const bool load_c = !overwrite || k0 > 0;
+      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+        const std::size_t nr = std::min(std::size_t{kNr}, n - j0);
+        if (b_t) {
+          for (std::size_t j = 0; j < nr; ++j)
+            for (std::size_t p = 0; p < kc; ++p)
+              panel[p * kNr + j] = b[(j0 + j) * k + k0 + p];
+        }
+        const float* bp = b_t ? panel : b + k0 * n + j0;
+        const std::size_t ldb = b_t ? kNr : n;
+        // A static schedule over an unchanged trip count hands each thread
+        // the same row tiles in every k-block, so nowait is race-free.
+#pragma omp for schedule(static) nowait
+        for (std::size_t t = 0; t < tiles; ++t) {
+          const std::size_t i0 = t * kMr;
+          const std::size_t rows = std::min(std::size_t{kMr}, m - i0);
+          const float* at = a + i0 * rs + k0 * ks;
+          float* ct = c + i0 * n + j0;
+          if (nr == kNr) {
+            gemm_tile_rows(rows, at, rs, ks, bp, ldb, ct, n, kc, load_c);
+            continue;
+          }
+          for (std::size_t r = 0; r < rows; ++r) {
+            float* crow = ct + r * n;
+            if (!load_c) std::fill(crow, crow + nr, 0.0f);
+            for (std::size_t p = 0; p < kc; ++p)
+              mac_row(crow, bp + p * ldb, at[r * rs + p * ks], nr);
+          }
+        }
+      }
+    }
+  }
+}
+
+inline void gemm(const float* a, const float* b, float* c, std::size_t m,
+                 std::size_t k, std::size_t n) {
+  if (n == 1) {  // matrix · vector (the classifier head): a dot per row
+#pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
+    firstprivate(m, k)
+    for (std::size_t i = 0; i < m; ++i) c[i] += dot_row(a + i * k, b, k);
+    return;
+  }
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n,
+               /*overwrite=*/false);
+}
+
+inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) {
+  if (n == 1) {
+#pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
+    firstprivate(m, k)
+    for (std::size_t i = 0; i < m; ++i) c[i] = dot_row(a + i * k, b, k);
+    return;
+  }
+  if (k == 0) {  // no k-block runs to overwrite C
+    std::fill(c, c + m * n, 0.0f);
+    return;
+  }
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n,
+               /*overwrite=*/true);
+}
+
+inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) {
+  if (n == 1) {  // Aᵀ · vector (the classifier's weight gradient): axpys
+#pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
+    firstprivate(m, k)
+    for (std::size_t i0 = 0; i0 < m; i0 += kEwBlock) {
+      const std::size_t len = std::min(std::size_t{kEwBlock}, m - i0);
+      for (std::size_t p = 0; p < k; ++p)
+        mac_row(c + i0, a + p * m + i0, b[p], len);
+    }
+    return;
+  }
+  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n,
+               /*overwrite=*/false);
+}
+
+#else  // scalar reference: the historical loop nests
+
+/// k-loop tile of the scalar gemm (one tile of B rows stays in L1).
+constexpr std::size_t kTile = 64;
+
 inline void gemm(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) {
   // i-k-j order with k-tiling and zero-skip, as the historical matmul.
@@ -431,6 +586,8 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
     }
   }
 }
+
+#endif  // TRKX_KERNELS_AVX2
 
 inline void spmm(const std::uint64_t* row_ptr, const std::uint32_t* col_idx,
                  const float* val, const float* x, float* y, std::size_t rows,

@@ -2,10 +2,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/tape.hpp"
+#include "gnn/interaction_gnn.hpp"
+#include "graph/generators.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matrix.hpp"
@@ -182,35 +186,61 @@ TEST(KernelEquivalence, AdamUpdateBitIdentical) {
 
 // ---------- ULP-bounded kernels ----------
 
-TEST(KernelEquivalence, GemmFamilyClose) {
-  SKIP_WITHOUT_AVX2();
+/// One m×k·k×n shape through all three GEMMs of both tables. gemm and
+/// gemm_tn accumulate, so C starts at random values; gemm_nt overwrites,
+/// so C starts at NaN and any output it fails to write shows up.
+void expect_gemm_family_close(std::size_t m, std::size_t k, std::size_t n,
+                              Rng& rng) {
   const kernels::KernelTable& sc = kernels::scalar_table();
   const kernels::KernelTable& vx = kernels::avx2_table();
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
+  const auto c0 = random_vec(m * n, rng);
+  auto c1 = c0, c2 = c0;
+  sc.gemm(a.data(), b.data(), c1.data(), m, k, n);
+  vx.gemm(a.data(), b.data(), c2.data(), m, k, n);
+  SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+  expect_close(c1, c2, k, "gemm");
+
+  const auto bt = random_vec(n * k, rng);
+  std::vector<float> d1(m * n, std::nanf("")), d2(m * n, std::nanf(""));
+  sc.gemm_nt(a.data(), bt.data(), d1.data(), m, k, n);
+  vx.gemm_nt(a.data(), bt.data(), d2.data(), m, k, n);
+  expect_close(d1, d2, k, "gemm_nt");
+
+  const auto at = random_vec(k * m, rng);
+  auto e1 = c0, e2 = c0;
+  sc.gemm_tn(at.data(), b.data(), e1.data(), m, k, n);
+  vx.gemm_tn(at.data(), b.data(), e2.data(), m, k, n);
+  expect_close(e1, e2, k, "gemm_tn");
+}
+
+TEST(KernelEquivalence, GemmFamilyClose) {
+  SKIP_WITHOUT_AVX2();
   Rng rng(19);
-  for (auto [m, k, n] : {std::tuple<std::size_t, std::size_t, std::size_t>{
-                             3, 5, 7},
-                         {16, 64, 32},
-                         {33, 100, 17},
-                         {1, 1, 1}}) {
-    const auto a = random_vec(m * k, rng);
-    const auto b = random_vec(k * n, rng);
-    std::vector<float> c1(m * n, 0.0f), c2(m * n, 0.0f);
-    sc.gemm(a.data(), b.data(), c1.data(), m, k, n);
-    vx.gemm(a.data(), b.data(), c2.data(), m, k, n);
-    expect_close(c1, c2, k, "gemm");
-
-    const auto bt = random_vec(n * k, rng);
-    std::vector<float> d1(m * n), d2(m * n);
-    sc.gemm_nt(a.data(), bt.data(), d1.data(), m, k, n);
-    vx.gemm_nt(a.data(), bt.data(), d2.data(), m, k, n);
-    expect_close(d1, d2, k, "gemm_nt");
-
-    const auto at = random_vec(k * m, rng);
-    std::vector<float> e1(m * n, 0.0f), e2(m * n, 0.0f);
-    sc.gemm_tn(at.data(), b.data(), e1.data(), m, k, n);
-    vx.gemm_tn(at.data(), b.data(), e2.data(), m, k, n);
-    expect_close(e1, e2, k, "gemm_tn");
-  }
+  // Every edge of the 6×16 register tile (m mod 6, n mod 16, the n = 1
+  // paths) and of the 256-deep k-block, on both sides of each edge; k = 0
+  // must still overwrite gemm_nt's C with zeros.
+  for (std::size_t m : {1u, 5u, 6u, 7u, 13u})
+    for (std::size_t n : {1u, 15u, 16u, 17u, 32u, 33u, 192u})
+      for (std::size_t k : {0u, 1u, 8u, 14u, 32u, 192u, 257u})
+        expect_gemm_family_close(m, k, n, rng);
+  // The IGNN traffic over E = 6451 edge rows (hidden 32, CTD features
+  // 14/8): edge- and node-MLP layers, their dX, and the classifier head.
+  for (auto [k, n] : {std::pair<std::size_t, std::size_t>{192, 32},
+                      {32, 192},
+                      {14, 32},
+                      {32, 32},
+                      {32, 1},
+                      {257, 33}})
+    expect_gemm_family_close(6451, k, n, rng);
+  // The weight-gradient reductions: gemm_tn over k = 6451 edge rows
+  // crosses 26 k-blocks.
+  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{192, 32},
+                      {32, 32},
+                      {32, 1},
+                      {13, 17}})
+    expect_gemm_family_close(m, 6451, n, rng);
 }
 
 TEST(KernelEquivalence, SpmmClose) {
@@ -318,6 +348,82 @@ TEST(KernelGradcheck, Avx2Path) {
   const auto result = gradcheck_network();
   kernels::set_mode(before);
   EXPECT_TRUE(result.passed) << "max abs err " << result.max_abs_error;
+}
+
+// ---------- oracle: one IGNN training step on each table ----------
+
+struct IgnnStep {
+  std::vector<float> logits;
+  float loss = 0.0f;
+  std::vector<std::pair<std::string, std::vector<float>>> grads;
+};
+
+std::vector<float> values_of(const Matrix& m) {
+  return {m.data(), m.data() + m.size()};
+}
+
+/// Forward + backward of a CTD-shaped IGNN (features 14/8, hidden 32,
+/// 4 layers, 2 hidden layers per MLP) on 1200 edges, under one table. The
+/// model, graph and labels are rebuilt from the same seed for each table.
+IgnnStep ignn_step(kernels::SimdMode mode) {
+  const kernels::SimdMode before = kernels::mode();
+  kernels::set_mode(mode);
+  Rng rng(37);
+  IgnnConfig cfg;
+  cfg.node_input_dim = 14;
+  cfg.edge_input_dim = 8;
+  cfg.hidden_dim = 32;
+  cfg.num_layers = 4;
+  cfg.mlp_hidden = 2;
+  ParameterStore store;
+  InteractionGnn gnn(store, cfg, rng);
+  const Graph g = random_regular_out(400, 3, rng);
+  const Matrix x = Matrix::random_normal(g.num_vertices(), 14, rng);
+  const Matrix y = Matrix::random_normal(g.num_edges(), 8, rng);
+  std::vector<float> labels(g.num_edges());
+  for (float& l : labels) l = rng.uniform() < 0.3 ? 1.0f : 0.0f;
+
+  IgnnStep out;
+  TapeContext ctx;
+  Var logits = gnn.forward(ctx, x, y, g);
+  Var loss = ctx.tape().bce_with_logits(logits, labels);
+  ctx.backward(loss);
+  out.logits = values_of(logits.value());
+  out.loss = loss.value()(0, 0);
+  for (const Parameter& p : store.params())
+    out.grads.emplace_back(p.name, values_of(p.grad));
+  kernels::set_mode(before);
+  return out;
+}
+
+/// max |ref - got| relative to max |ref| over one tensor.
+double max_rel_diff(const std::vector<float>& ref,
+                    const std::vector<float>& got) {
+  double diff = 0.0, scale = 1e-30;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    diff = std::max(diff, static_cast<double>(std::fabs(ref[i] - got[i])));
+    scale = std::max(scale, static_cast<double>(std::fabs(ref[i])));
+  }
+  return diff / scale;
+}
+
+TEST(KernelOracle, IgnnStepScalarMatchesAvx2) {
+  SKIP_WITHOUT_AVX2();
+  const IgnnStep sc = ignn_step(kernels::SimdMode::kScalar);
+  const IgnnStep vx = ignn_step(kernels::SimdMode::kAvx2);
+  // FMA rounding and reassociated reductions, carried through 4 layers
+  // of MLPs and layer norms; an accumulate/overwrite or tiling bug is O(1).
+  constexpr double kRelTol = 1e-3;
+  ASSERT_EQ(sc.logits.size(), 1200u);
+  EXPECT_LE(max_rel_diff(sc.logits, vx.logits), kRelTol) << "logits";
+  EXPECT_NEAR(sc.loss, vx.loss, kRelTol * std::fabs(sc.loss)) << "loss";
+  ASSERT_EQ(sc.grads.size(), vx.grads.size());
+  for (std::size_t i = 0; i < sc.grads.size(); ++i) {
+    const auto& [name, ref] = sc.grads[i];
+    ASSERT_EQ(name, vx.grads[i].first);
+    ASSERT_EQ(ref.size(), vx.grads[i].second.size()) << name;
+    EXPECT_LE(max_rel_diff(ref, vx.grads[i].second), kRelTol) << name;
+  }
 }
 
 }  // namespace
