@@ -6,8 +6,9 @@
 //
 // Trains every pipeline stage on synthetic Ex3-like events (the sparse
 // dataset of the paper's Table I, scaled for CPU), evaluates track-level
-// physics metrics on held-out events, and optionally round-trips the GNN
-// weights through disk.
+// physics metrics on held-out events, and optionally round-trips the whole
+// pipeline through disk: --save writes the model-file format that
+// `trkx-serve --model` loads, --load reads one instead of training.
 //
 // With --deadline-ms N the test events run through the serving layer
 // (src/serve) with a per-event wall-clock budget: an event that blows the
@@ -18,9 +19,11 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "detector/presets.hpp"
+#include "pipeline/checkpoint.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/track_fit.hpp"
 #include "serve/server.hpp"
@@ -102,8 +105,8 @@ int main(int argc, char** argv) {
   if (args.has("load")) {
     std::ifstream is(args.get("load", ""), std::ios::binary);
     TRKX_CHECK_MSG(is.good(), "cannot open model file");
-    pipeline->gnn().store.load(is);
-    std::printf("loaded GNN weights from %s\n", args.get("load", "").c_str());
+    pipeline->load(is);
+    std::printf("loaded pipeline from %s\n", args.get("load", "").c_str());
   } else {
     TrainResult fit = pipeline->fit(data.train, data.val);
     std::printf("\nper-epoch validation metrics:\n");
@@ -116,9 +119,10 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("save")) {
-    std::ofstream os(args.get("save", ""), std::ios::binary);
-    pipeline->gnn().store.save(os);
-    std::printf("saved GNN weights to %s\n", args.get("save", "").c_str());
+    std::ostringstream os;
+    pipeline->save(os);
+    atomic_write_file(args.get("save", ""), os.str());
+    std::printf("saved pipeline to %s\n", args.get("save", "").c_str());
   }
 
   if (deadline_ms > 0) {

@@ -2,7 +2,8 @@
 # check_static.sh — single entry point for the trkx correctness gate.
 #
 # Runs, in order (skip/select with flags):
-#   lint        scripts/lint.py + standalone-header compile check
+#   lint        trkx-analyze conventions pass + standalone-header compile
+#               check
 #   analyze     trkx-analyze: fixture selftest + every pass — per-file
 #               (omp-sharing, layering, numeric-safety, kernel-dispatch,
 #               conventions) and cross-TU (lock-order, throw-boundary,
@@ -76,9 +77,9 @@ configure_and_test() {
 }
 
 if [ "$RUN_LINT" -eq 1 ]; then
-  note "lint (scripts/lint.py + standalone headers)"
-  python3 scripts/lint.py --check-headers --compiler "${CXX:-c++}" ||
-    fail "lint"
+  note "lint (trkx-analyze conventions pass + standalone headers)"
+  python3 scripts/trkx-analyze --root . --passes conventions --check-headers \
+    --compiler "${CXX:-c++}" || fail "lint"
 fi
 
 if [ "$RUN_ANALYZE" -eq 1 ]; then
@@ -107,7 +108,7 @@ if [ "$RUN_TIDY" -eq 1 ]; then
       clang-tidy -p "$dir" --quiet "${tidy_sources[@]}" || fail "clang-tidy"
     fi
   else
-    echo "clang-tidy not installed — skipped (lint.py covers the trkx-* rules)"
+    echo "clang-tidy not installed — skipped (trkx-analyze covers the trkx-* rules)"
   fi
 fi
 

@@ -24,12 +24,15 @@
 #                findings_by_pass map, and the leg dumps the cross-TU
 #                fact database to build-ci/facts.json unconditionally,
 #                as its own gated step
-#   lint-tidy    scripts/lint.py (+ headers) and clang-tidy if installed
+#   lint-tidy    trkx-analyze conventions pass (+ standalone headers) and
+#                clang-tidy if installed
 #   serve        serving robustness leg: trkx-serve driven end-to-end
 #                under a TRKX_FAULTS matrix (transient/persistent stage
 #                faults, admission faults, overload, corrupt-checkpoint
-#                reload), asserting exit codes and the serve.* counter
-#                contract on stdout; the summary carries the baseline
+#                reload) plus a model file with one flipped byte that
+#                must fail the load (exit 1, CRC error logged), asserting
+#                exit codes and the serve.* counter contract on stdout;
+#                the summary carries the baseline
 #                run's counters map
 #   perf         scripts/trkx-bench quick profile against the release
 #                build, gated by scripts/check_regression.py against the
@@ -245,21 +248,23 @@ if wants serve; then
     run_idx=0
     serve_run() {  # serve_run <expect:ok|fail> <faults> <asserts> <args...>
       # <asserts>: space-separated grep -E patterns that must ALL match
-      # the run's stdout (the serve.<counter>=<value> contract).
+      # the run's stdout (the serve.<counter>=<value> contract) — or, for
+      # an expected failure (exit 1), its log on stderr.
       local expect="$1" faults="$2" asserts="$3"; shift 3
       run_idx=$((run_idx + 1))
-      local out="$dir/run-$run_idx.out" rc=0 pat
+      local out="$dir/run-$run_idx.out" err="$dir/run-$run_idx.err" rc=0 pat
       echo "== [$run_idx] TRKX_FAULTS='$faults' trkx-serve $*" >> "$serve_log"
-      TRKX_FAULTS="$faults" "$srv" "$@" > "$out" 2>> "$serve_log" || rc=$?
-      cat "$out" >> "$serve_log"
+      TRKX_FAULTS="$faults" "$srv" "$@" > "$out" 2> "$err" || rc=$?
+      cat "$err" "$out" >> "$serve_log"
       if { [ "$expect" = ok ] && [ "$rc" -ne 0 ]; } ||
-         { [ "$expect" = fail ] && [ "$rc" -eq 0 ]; }; then
+         { [ "$expect" = fail ] && [ "$rc" -ne 1 ]; }; then
         echo "== FAIL: expected $expect, got exit $rc" >> "$serve_log"
         status=fail
       fi
+      [ "$expect" = fail ] && out="$err"
       for pat in $asserts; do
         if ! grep -Eq "$pat" "$out"; then
-          echo "== FAIL: counter assert '$pat' not satisfied" >> "$serve_log"
+          echo "== FAIL: assert '$pat' not satisfied" >> "$serve_log"
           status=fail
         fi
       done
@@ -302,6 +307,20 @@ if wants serve; then
       "serve.reload.fail=[1-9] serve.replica.generation=1 serve.exit=ok" \
       --events 6 --model "$dir/model.bin" --checkpoint-dir "$ck" \
       --reload-every 2
+    # Corrupt model file: one flipped byte inside the last weight must fail
+    # the load on its CRC — exit 1 with the CRC error in the log — never
+    # serve wrong weights.
+    cp "$dir/model.bin" "$dir/model-flipped.bin"
+    python3 - "$dir/model-flipped.bin" << 'EOF'
+import sys
+with open(sys.argv[1], "r+b") as f:
+    data = bytearray(f.read())
+    data[-3] ^= 0x10
+    f.seek(0)
+    f.write(data)
+EOF
+    serve_run fail "" "CRC.mismatch" \
+      --events 4 --model "$dir/model-flipped.bin"
     counters=$(python3 - "$dir/run-1.out" << 'EOF'
 import json, sys
 c = {}
@@ -382,8 +401,8 @@ fi
 if wants lint-tidy; then
   t0=$(date +%s)
   lint_log=build-ci/lint.log
-  if python3 scripts/lint.py --check-headers --compiler "${CXX:-c++}" \
-       > "$lint_log" 2>&1; then
+  if python3 scripts/trkx-analyze --root . --passes conventions \
+       --check-headers --compiler "${CXX:-c++}" > "$lint_log" 2>&1; then
     if command -v clang-tidy > /dev/null 2>&1; then
       if bash scripts/check_static.sh --tidy >> "$lint_log" 2>&1; then
         record lint-tidy pass "$(( $(date +%s) - t0 ))" "$lint_log"

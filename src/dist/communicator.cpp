@@ -53,7 +53,9 @@ void TimeoutBarrier::arrive_and_wait() {
       break;
     }
   }
-  if (aborted_) throw CommTimeoutError(abort_reason_);
+  // A barrier that completed before a peer aborted fails only the next one.
+  if (generation_ == my_generation && aborted_)
+    throw CommTimeoutError(abort_reason_);
 }
 
 void TimeoutBarrier::abort(const std::string& reason) {

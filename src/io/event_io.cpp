@@ -1,12 +1,12 @@
 #include "io/event_io.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
+#include "util/codec.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -15,242 +15,126 @@ namespace trkx {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x54524b58;  // "TRKX": per-event blob magic
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kEventMagic = 0x54524b58;  // "XKRT": event blob
+constexpr std::uint32_t kEventVersion = 1;
 
-constexpr std::uint32_t kFileMagic = 0x43524b58;   // "XKRC": v2 container
+constexpr std::uint32_t kFileMagic = 0x43524b58;  // "XKRC": event file
 constexpr std::uint32_t kFileVersion = 2;
 
-/// Per-record sanity cap: a corrupt length/count field must fail as a
-/// clean IoError, not a multi-gigabyte allocation.
-constexpr std::uint64_t kMaxChunkBytes = 1ull << 31;
+// Hits and edges are stored as their structs, which have no padding.
+static_assert(sizeof(Hit) == 5 * 4 && sizeof(Edge) == 2 * 4);
+constexpr std::size_t kParticleBytes = 5 * 4 + 8;  // scalars + hit count
 
-/// Where a stream's bytes sit inside the file being read, so every
-/// failure can name "<path> at byte N" even when the stream is an
-/// in-memory copy of one framed record.
-struct StreamContext {
-  std::string path = "<stream>";
-  std::uint64_t base_offset = 0;
-};
-
-std::uint64_t stream_offset(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  return pos < 0 ? 0 : static_cast<std::uint64_t>(pos);
+void put_matrix(ByteWriter& w, const Matrix& m) {
+  w.put<std::uint64_t>(m.rows());
+  w.put<std::uint64_t>(m.cols());
+  w.put_array(m.data(), m.size());
 }
 
-[[noreturn]] void throw_io(const StreamContext& ctx, std::uint64_t offset,
-                           const std::string& what) {
-  std::ostringstream os;
-  os << what << " (" << ctx.path << " at byte " << ctx.base_offset + offset
-     << ")";
-  throw IoError(os.str());
-}
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is, const StreamContext& ctx) {
-  const std::uint64_t off = stream_offset(is);
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is.good()) throw_io(ctx, off, "truncated event stream");
-  return v;
-}
-
-template <typename T>
-void write_vec(std::ostream& os, const std::vector<T>& v) {
-  write_pod<std::uint64_t>(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T> read_vec(std::istream& is, const StreamContext& ctx) {
-  const std::uint64_t off = stream_offset(is);
-  const auto n = read_pod<std::uint64_t>(is, ctx);
-  if (n > kMaxChunkBytes / sizeof(T))
-    throw_io(ctx, off, "implausible element count (corrupt length field)");
-  std::vector<T> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!is.good()) throw_io(ctx, off, "truncated event stream");
-  return v;
-}
-
-void write_matrix(std::ostream& os, const Matrix& m) {
-  write_pod<std::uint64_t>(os, m.rows());
-  write_pod<std::uint64_t>(os, m.cols());
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(float)));
-}
-
-Matrix read_matrix(std::istream& is, const StreamContext& ctx) {
-  const std::uint64_t off = stream_offset(is);
-  const auto r = read_pod<std::uint64_t>(is, ctx);
-  const auto c = read_pod<std::uint64_t>(is, ctx);
-  if (r != 0 && c > kMaxChunkBytes / sizeof(float) / r)
-    throw_io(ctx, off, "implausible matrix shape (corrupt header)");
-  Matrix m(r, c);
-  is.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!is.good()) throw_io(ctx, off, "truncated event stream");
+Matrix get_matrix(ByteReader& r) {
+  const auto rows = r.get<std::uint64_t>();
+  const auto cols = r.get<std::uint64_t>();
+  if (rows != 0 && cols > r.remaining() / sizeof(float) / rows)
+    r.fail("matrix shape exceeds the bytes that remain");
+  Matrix m(rows, cols);
+  r.get_array(m.data(), m.size());
   return m;
 }
 
-Event load_event(std::istream& is, const StreamContext& ctx) {
-  const std::uint64_t off = stream_offset(is);
-  if (read_pod<std::uint32_t>(is, ctx) != kMagic)
-    throw_io(ctx, off, "bad magic");
-  if (read_pod<std::uint32_t>(is, ctx) != kVersion)
-    throw_io(ctx, off, "unsupported event version");
-  Event event;
-  event.hits = read_vec<Hit>(is, ctx);
-  const auto np = read_pod<std::uint64_t>(is, ctx);
-  if (np > kMaxChunkBytes / sizeof(TruthParticle))
-    throw_io(ctx, off, "implausible particle count (corrupt header)");
-  event.particles.resize(np);
-  for (TruthParticle& p : event.particles) {
-    p.pt = read_pod<float>(is, ctx);
-    p.phi0 = read_pod<float>(is, ctx);
-    p.eta = read_pod<float>(is, ctx);
-    p.z0 = read_pod<float>(is, ctx);
-    p.charge = read_pod<int>(is, ctx);
-    p.hits = read_vec<std::uint32_t>(is, ctx);
+void put_event(ByteWriter& w, const Event& event) {
+  w.put(kEventMagic);
+  w.put(kEventVersion);
+  w.put_vector(event.hits);
+  w.put<std::uint64_t>(event.particles.size());
+  for (const TruthParticle& p : event.particles) {
+    for (float v : {p.pt, p.phi0, p.eta, p.z0}) w.put(v);
+    w.put<std::int32_t>(p.charge);
+    w.put_vector(p.hits);
   }
-  const auto nv = read_pod<std::uint64_t>(is, ctx);
-  event.graph = Graph(nv, read_vec<Edge>(is, ctx));
-  event.edge_labels = read_vec<char>(is, ctx);
-  event.node_features = read_matrix(is, ctx);
-  event.edge_features = read_matrix(is, ctx);
+  w.put<std::uint64_t>(event.graph.num_vertices());
+  w.put_vector(event.graph.edges());
+  w.put_vector(event.edge_labels);
+  put_matrix(w, event.node_features);
+  put_matrix(w, event.edge_features);
+}
+
+/// Decode one event blob, the rest of `r`, checking the invariants an
+/// Event relies on, so corrupt bytes fail here as IoError, not later.
+Event get_event(ByteReader& r) {
+  r.get_header(kEventMagic, kEventVersion, "event");
+  Event event;
+  event.hits = r.get_vector<Hit>();
+  event.particles.resize(r.get_count(kParticleBytes));
+  for (TruthParticle& p : event.particles) {
+    for (float* v : {&p.pt, &p.phi0, &p.eta, &p.z0}) *v = r.get<float>();
+    p.charge = r.get<std::int32_t>();
+    p.hits = r.get_vector<std::uint32_t>();
+  }
+  const auto num_vertices = r.get<std::uint64_t>();
+  if (num_vertices != event.hits.size())
+    r.fail("graph vertex count disagrees with hit count");
+  std::vector<Edge> edges = r.get_vector<Edge>();
+  for (const Edge& e : edges)
+    if (e.src >= num_vertices || e.dst >= num_vertices)
+      r.fail("edge endpoint out of range");
+  event.graph = Graph(num_vertices, std::move(edges));
+  event.edge_labels = r.get_vector<char>();
   if (event.edge_labels.size() != event.graph.num_edges())
-    throw_io(ctx, off, "edge label count disagrees with graph");
+    r.fail("edge label count disagrees with graph");
+  event.node_features = get_matrix(r);
+  event.edge_features = get_matrix(r);
+  r.expect_end();
   return event;
 }
 
-/// Serialize one event into a standalone blob for the framed container.
-std::string event_blob(const Event& event) {
-  std::ostringstream os(std::ios::binary);
-  save_event(os, event);
-  return os.str();
-}
-
-/// Parse one framed v2 record in place: length + crc + blob. Leaves the
-/// stream positioned after the record on success. `record_index` is only
-/// for error text.
-Event read_framed_event(std::istream& is, const StreamContext& file_ctx,
-                        std::size_t record_index) {
-  const std::uint64_t record_off = stream_offset(is);
-  const auto length = read_pod<std::uint64_t>(is, file_ctx);
-  if (length > kMaxChunkBytes)
-    throw_io(file_ctx, record_off, "implausible record length");
-  const auto crc_expect = read_pod<std::uint32_t>(is, file_ctx);
-  std::string blob(length, '\0');
-  is.read(blob.data(), static_cast<std::streamsize>(length));
-  if (!is.good()) throw_io(file_ctx, record_off, "truncated event record");
-  const std::uint32_t crc_got = crc32(blob.data(), blob.size());
-  if (crc_got != crc_expect) {
-    std::ostringstream what;
-    what << "CRC mismatch on event record " << record_index << " (stored "
-         << crc_expect << ", computed " << crc_got << ")";
-    throw_io(file_ctx, record_off, what.str());
-  }
-  std::istringstream bs(blob, std::ios::binary);
-  StreamContext blob_ctx{file_ctx.path,
-                         file_ctx.base_offset + record_off + 12};
-  return load_event(bs, blob_ctx);
-}
-
-struct FileHeader {
-  std::uint32_t version = 0;  ///< 1 = legacy unframed, 2 = framed
-  std::uint64_t count = 0;
-};
-
-/// Read the container header, sniffing legacy v1 files (which start
-/// directly with the u64 event count) by the absence of the file magic.
-FileHeader read_file_header(std::istream& is, const StreamContext& ctx) {
-  FileHeader h;
-  const auto first = read_pod<std::uint64_t>(is, ctx);
-  if (static_cast<std::uint32_t>(first) == kFileMagic) {
-    const auto version = static_cast<std::uint32_t>(first >> 32);
-    if (version != kFileVersion) {
-      std::ostringstream what;
-      what << "unsupported event file version " << version;
-      throw_io(ctx, 0, what.str());
-    }
-    h.version = version;
-    h.count = read_pod<std::uint64_t>(is, ctx);
-  } else {
-    h.version = 1;
-    h.count = first;
-  }
-  if (h.count > kMaxChunkBytes)
-    throw_io(ctx, 0, "implausible event count (corrupt header)");
-  return h;
-}
-
-double next_backoff_ms(double current, const IoRetryPolicy& policy) {
-  const double next = current * policy.backoff_multiplier;
-  return next > policy.max_backoff_ms ? policy.max_backoff_ms : next;
+void quarantine(TolerantLoadResult& result, const std::string& what) {
+  ++result.quarantined;
+  metrics().counter("events.quarantined").add(1);
+  TRKX_WARN << "io: " << what;
+  result.quarantine_log.push_back(what);
 }
 
 }  // namespace
 
 void save_event(std::ostream& os, const Event& event) {
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_vec(os, event.hits);  // Hit is trivially copyable
-  write_pod<std::uint64_t>(os, event.particles.size());
-  for (const TruthParticle& p : event.particles) {
-    write_pod(os, p.pt);
-    write_pod(os, p.phi0);
-    write_pod(os, p.eta);
-    write_pod(os, p.z0);
-    write_pod(os, p.charge);
-    write_vec(os, p.hits);
-  }
-  write_pod<std::uint64_t>(os, event.graph.num_vertices());
-  write_vec(os, event.graph.edges());  // Edge is trivially copyable
-  write_vec(os, event.edge_labels);
-  write_matrix(os, event.node_features);
-  write_matrix(os, event.edge_features);
+  ByteWriter w;
+  put_event(w, event);
+  w.write_to(os, CodecError::kIo, "event stream");
 }
 
-Event load_event(std::istream& is) { return load_event(is, StreamContext{}); }
+Event load_event(std::istream& is) {
+  ByteReader r(is, CodecError::kIo, "event stream");
+  return get_event(r);
+}
 
 void save_events(const std::string& path, const std::vector<Event>& events) {
   std::ofstream os(path, std::ios::binary);
   if (!os.good()) throw IoError("cannot open " + path + " for writing");
-  // Pack magic + version into the leading u64 so legacy readers of the
-  // old "count-first" layout see an impossible count, not garbage events.
-  const std::uint64_t tag =
-      (static_cast<std::uint64_t>(kFileVersion) << 32) | kFileMagic;
-  write_pod(os, tag);
-  write_pod<std::uint64_t>(os, events.size());
+  ByteWriter header;
+  header.put(kFileMagic);
+  header.put(kFileVersion);
+  header.put<std::uint64_t>(events.size());
+  header.write_to(os, CodecError::kIo, path);
   for (const Event& e : events) {
-    const std::string blob = event_blob(e);
-    write_pod<std::uint64_t>(os, blob.size());
-    write_pod<std::uint32_t>(os, crc32(blob.data(), blob.size()));
-    os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    ByteWriter blob, record;
+    put_event(blob, e);
+    record.put_frame(blob.bytes);
+    record.write_to(os, CodecError::kIo, path);
   }
-  if (!os.good()) throw IoError("write failure on " + path);
 }
 
 std::vector<Event> load_events(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw IoError("cannot open " + path);
-  const StreamContext ctx{path, 0};
-  const FileHeader header = read_file_header(is, ctx);
+  ByteReader in(is, CodecError::kIo, path);
+  in.get_header(kFileMagic, kFileVersion, "event file");
+  // A record takes at least a frame header: a lying count fails here.
+  const std::uint64_t count = in.get_count(kFrameHeaderBytes);
   std::vector<Event> events;
-  events.reserve(header.count);
-  for (std::uint64_t i = 0; i < header.count; ++i) {
-    if (header.version >= kFileVersion)
-      events.push_back(read_framed_event(is, ctx, i));
-    else
-      events.push_back(load_event(is, ctx));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ByteReader record = in.get_frame();  // CRC verified before decoding
+    events.push_back(get_event(record));
   }
+  in.expect_end();
   return events;
 }
 
@@ -258,93 +142,67 @@ TolerantLoadResult load_events_tolerant(const std::string& path,
                                         const IoRetryPolicy& policy) {
   TRKX_CHECK(policy.max_attempts >= 1);
   std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw IoError("cannot open " + path);
-  const StreamContext ctx{path, 0};
-  const FileHeader header = read_file_header(is, ctx);
+  ByteReader in(is, CodecError::kIo, path);
+  in.get_header(kFileMagic, kFileVersion, "event file");
+  const std::uint64_t count = in.get_count(kFrameHeaderBytes);
 
   TolerantLoadResult result;
-  result.events.reserve(header.count);
-  for (std::uint64_t i = 0; i < header.count; ++i) {
-    const std::uint64_t record_off = stream_offset(is);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t record_off = in.offset();
     double backoff_ms = policy.initial_backoff_ms;
     bool loaded = false;
-    std::string last_error;
+    std::string error;
     for (std::size_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
       try {
+        // Rewind to the record on every attempt: transient faults
+        // (injected or a flaky filesystem) deserve the retry; genuine
+        // on-disk corruption fails identically and is quarantined below.
+        in.seek(record_off);
         fault::inject("io.read_event");
-        if (header.version >= kFileVersion) {
-          result.events.push_back(
-              read_framed_event(is, ctx, static_cast<std::size_t>(i)));
-        } else {
-          result.events.push_back(load_event(is, ctx));
-        }
+        ByteReader record = in.get_frame();
+        result.events.push_back(get_event(record));
         loaded = true;
         break;
       } catch (const Error& e) {
-        last_error = e.what();
-        // Rewind to the record and try again: transient faults (injected
-        // or a flaky filesystem) deserve the retry; genuine on-disk
-        // corruption will fail identically and get quarantined below.
-        is.clear();
-        is.seekg(static_cast<std::streamoff>(record_off));
-        if (!is.good()) break;  // cannot even reposition: quarantine
-        if (attempt < policy.max_attempts) {
-          ++result.retries;
-          metrics().counter("io.retries").add(1);
-          TRKX_WARN << "io: retrying event record " << i << " of " << path
-                    << " (attempt " << attempt + 1 << "/"
-                    << policy.max_attempts << "): " << e.what();
-          if (backoff_ms > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff_ms));
-          backoff_ms = next_backoff_ms(backoff_ms, policy);
-        }
+        error = e.what();
+        if (attempt == policy.max_attempts) break;
+        ++result.retries;
+        metrics().counter("io.retries").add(1);
+        TRKX_WARN << "io: retrying event record " << i << " of " << path
+                  << " (attempt " << attempt + 1 << "/"
+                  << policy.max_attempts << "): " << e.what();
+        if (backoff_ms > 0.0)
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(backoff_ms));
+        backoff_ms = std::min(backoff_ms * policy.backoff_multiplier,
+                              policy.max_backoff_ms);
       }
     }
     if (loaded) continue;
 
-    ++result.quarantined;
-    metrics().counter("events.quarantined").add(1);
-    {
-      std::ostringstream what;
-      what << "quarantined event record " << i << " of " << path
-           << " at byte " << record_off << ": " << last_error;
-      TRKX_WARN << "io: " << what.str();
-      result.quarantine_log.push_back(what.str());
-    }
-    if (header.version >= kFileVersion) {
-      // Framed container: hop over the bad record using its length field
-      // so the remaining records still load.
-      is.clear();
-      is.seekg(static_cast<std::streamoff>(record_off));
-      try {
-        const auto length = read_pod<std::uint64_t>(is, ctx);
-        if (length > kMaxChunkBytes)
-          throw_io(ctx, record_off, "implausible record length");
-        (void)read_pod<std::uint32_t>(is, ctx);
-        is.seekg(static_cast<std::streamoff>(length), std::ios::cur);
-        if (!is.good()) throw_io(ctx, record_off, "seek past record failed");
-      } catch (const Error&) {
-        const std::uint64_t rest = header.count - i - 1;
-        result.quarantined += rest;
-        metrics().counter("events.quarantined").add(rest);
-        TRKX_WARN << "io: record framing of " << path
-                  << " unrecoverable after byte " << record_off << "; "
-                  << rest << " further event(s) quarantined";
-        break;
-      }
-    } else {
-      // Legacy v1 has no framing: everything after a corrupt record is
-      // unreachable.
-      const std::uint64_t rest = header.count - i - 1;
+    quarantine(result, "quarantined event record " + std::to_string(i) +
+                           " of " + path + " at byte " +
+                           std::to_string(record_off) + ": " + error);
+    // Hop over the bad record using its length field so the remaining
+    // records still load.
+    try {
+      in.seek(record_off);
+      in.skip_frame();
+    } catch (const Error&) {
+      const std::uint64_t rest = count - i - 1;
       result.quarantined += rest;
       metrics().counter("events.quarantined").add(rest);
-      TRKX_WARN << "io: legacy event file " << path
-                << " has no record framing; " << rest
-                << " further event(s) quarantined";
-      break;
+      TRKX_WARN << "io: record framing of " << path
+                << " unrecoverable after byte " << record_off << "; "
+                << rest << " further event(s) quarantined";
+      return result;
     }
   }
+  // Bytes past the last counted record: the count field itself is wrong.
+  if (in.remaining() != 0)
+    quarantine(result, "quarantined " + std::to_string(in.remaining()) +
+                           " bytes of " + path + " past its " +
+                           std::to_string(count) + " counted event records");
   return result;
 }
 

@@ -13,15 +13,13 @@ namespace trkx {
 /// Binary (de)serialization for events and datasets so generated data can
 /// be cached between runs (the paper's datasets live on disk too).
 ///
-/// Two file-container formats exist:
-///   v1 (legacy): u64 count, then back-to-back event blobs. No per-event
-///       framing, so one corrupt byte poisons everything after it.
-///   v2 (current): file magic + version + u64 count, then per-event
-///       records framed as {u64 length, u32 crc32, blob}. The CRC detects
-///       corruption before a partial Event escapes, and the length lets
-///       the tolerant loader skip a bad record and keep going.
-/// load_events reads both; save_events writes v2. Failures throw IoError
-/// whose message carries the path and byte offset of the bad read.
+/// An event file is {u32 magic, u32 version 2, u64 count}, then `count`
+/// records, each a util/codec.hpp frame {u64 length, u32 crc32, event
+/// blob}. The CRC detects corruption before a partial Event escapes, and
+/// the length lets the tolerant loader skip a bad record and keep going.
+/// save_event/load_event write and read one bare blob, the whole stream.
+/// Failures throw IoError whose message carries the path and byte offset
+/// of the bad read, before a lying count or length sizes an allocation.
 void save_event(std::ostream& os, const Event& event);
 Event load_event(std::istream& is);
 
@@ -49,11 +47,11 @@ struct TolerantLoadResult {
 
 /// Degraded-mode dataset load: each event record is retried with bounded
 /// exponential backoff and quarantined on persistent failure while the
-/// rest of the file keeps loading (v2 records are independently framed;
-/// in a legacy v1 file the records after a corrupt one are unreachable
-/// and quarantined wholesale). The fault site `io.read_event` fires once
-/// per read attempt. Missing/unopenable files still throw IoError — there
-/// is nothing to degrade to.
+/// rest of the file keeps loading (records are independently framed;
+/// bytes past the last counted record are quarantined as one more). The
+/// fault site `io.read_event` fires once per read attempt. A missing file
+/// or a corrupt header still throws IoError — there is nothing to
+/// degrade to.
 TolerantLoadResult load_events_tolerant(const std::string& path,
                                         const IoRetryPolicy& policy = {});
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 
 #include "tensor/kernels/kernels.hpp"
 #include "util/error.hpp"
@@ -61,55 +59,42 @@ Adam::Adam(ParameterStore& store, const AdamOptions& options)
 }
 
 namespace {
-// Versioned Adam-state framing so a checkpoint written by a newer,
+// Versioned Adam-state header so a checkpoint written by a newer,
 // incompatible layout is rejected instead of silently misread.
 constexpr std::uint32_t kAdamStateMagic = 0x4d414441;  // "ADAM"
 constexpr std::uint32_t kAdamStateVersion = 1;
 }  // namespace
 
+void Adam::save_state(ByteWriter& w) const {
+  w.put(kAdamStateMagic);
+  w.put(kAdamStateVersion);
+  w.put<std::uint64_t>(t_);
+  w.put<std::uint64_t>(m_.size());
+  for (const auto* moments : {&m_, &v_})
+    for (const Matrix& m : *moments) w.put_array(m.data(), m.size());
+}
+
+void Adam::load_state(ByteReader& r) {
+  r.get_header(kAdamStateMagic, kAdamStateVersion, "Adam state");
+  const auto t = r.get<std::uint64_t>();
+  if (r.get<std::uint64_t>() != m_.size()) r.fail("Adam state layout mismatch");
+  std::vector<Matrix> m = m_, v = v_;  // staged: commit only when all read
+  for (auto* moments : {&m, &v})
+    for (Matrix& x : *moments) r.get_array(x.data(), x.size());
+  t_ = static_cast<std::size_t>(t);
+  m_ = std::move(m);
+  v_ = std::move(v);
+}
+
 void Adam::save_state(std::ostream& os) const {
-  os.write(reinterpret_cast<const char*>(&kAdamStateMagic),
-           sizeof(kAdamStateMagic));
-  os.write(reinterpret_cast<const char*>(&kAdamStateVersion),
-           sizeof(kAdamStateVersion));
-  const std::uint64_t t = t_;
-  os.write(reinterpret_cast<const char*>(&t), sizeof(t));
-  const std::uint64_t count = m_.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto* moments : {&m_, &v_}) {
-    for (const Matrix& m : *moments) {
-      os.write(reinterpret_cast<const char*>(m.data()),
-               static_cast<std::streamsize>(m.size() * sizeof(float)));
-    }
-  }
-  TRKX_CHECK_MSG(os.good(), "Adam::save_state failed");
+  ByteWriter w;
+  save_state(w);
+  w.write_to(os, CodecError::kCheckpoint, "Adam state");
 }
 
 void Adam::load_state(std::istream& is) {
-  std::uint32_t magic = 0, version = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  is.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!is.good() || magic != kAdamStateMagic)
-    throw CheckpointError("Adam::load_state: bad magic (not an Adam state)");
-  if (version != kAdamStateVersion) {
-    std::ostringstream os;
-    os << "Adam::load_state: unsupported state version " << version
-       << " (expected " << kAdamStateVersion << ")";
-    throw CheckpointError(os.str());
-  }
-  std::uint64_t t = 0, count = 0;
-  is.read(reinterpret_cast<char*>(&t), sizeof(t));
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  TRKX_CHECK_MSG(is.good() && count == m_.size(),
-                 "Adam::load_state: layout mismatch");
-  t_ = static_cast<std::size_t>(t);
-  for (auto* moments : {&m_, &v_}) {
-    for (Matrix& m : *moments) {
-      is.read(reinterpret_cast<char*>(m.data()),
-              static_cast<std::streamsize>(m.size() * sizeof(float)));
-    }
-  }
-  TRKX_CHECK_MSG(is.good(), "Adam::load_state: truncated stream");
+  ByteReader r(is, CodecError::kCheckpoint, "Adam state");
+  load_state(r);
 }
 
 void Adam::step() {

@@ -66,6 +66,8 @@ class Adam : public Optimizer {
   /// Checkpoint the optimizer state (step counter + both moments) so a
   /// training run can resume exactly. The parameter values themselves are
   /// saved separately via ParameterStore::save.
+  void save_state(ByteWriter& w) const;
+  void load_state(ByteReader& r);
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

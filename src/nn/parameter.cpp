@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "util/error.hpp"
 
@@ -77,48 +75,49 @@ void ParameterStore::copy_values_from(const ParameterStore& other) {
   }
 }
 
-void ParameterStore::save(std::ostream& os) const {
-  const std::uint64_t n = params_.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
+void ParameterStore::save(ByteWriter& w) const {
+  w.put<std::uint64_t>(params_.size());
   for (const auto& p : params_) {
-    const std::uint64_t len = p.name.size();
-    os.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    os.write(p.name.data(), static_cast<std::streamsize>(len));
-    const std::uint64_t r = p.value.rows(), c = p.value.cols();
-    os.write(reinterpret_cast<const char*>(&r), sizeof(r));
-    os.write(reinterpret_cast<const char*>(&c), sizeof(c));
-    os.write(reinterpret_cast<const char*>(p.value.data()),
-             static_cast<std::streamsize>(p.value.size() * sizeof(float)));
+    w.put_vector(p.name);
+    w.put<std::uint64_t>(p.value.rows());
+    w.put<std::uint64_t>(p.value.cols());
+    w.put_array(p.value.data(), p.value.size());
   }
 }
 
-void ParameterStore::load(std::istream& is) {
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  TRKX_CHECK_MSG(is.good(), "truncated parameter file");
-  TRKX_CHECK_MSG(n == params_.size(),
-                 "parameter count mismatch: file has "
-                     << n << ", model has " << params_.size());
-  for (auto& p : params_) {
-    std::uint64_t len = 0;
-    is.read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::string name(len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(len));
-    TRKX_CHECK_MSG(name == p.name, "parameter name mismatch: file has "
-                                       << name << ", model has " << p.name);
-    std::uint64_t r = 0, c = 0;
-    is.read(reinterpret_cast<char*>(&r), sizeof(r));
-    is.read(reinterpret_cast<char*>(&c), sizeof(c));
-    TRKX_CHECK(r == p.value.rows() && c == p.value.cols());
-    is.read(reinterpret_cast<char*>(p.value.data()),
-            static_cast<std::streamsize>(p.value.size() * sizeof(float)));
-    TRKX_CHECK_MSG(is.good(), "truncated parameter file");
+std::vector<float> ParameterStore::read_values(ByteReader& r) const {
+  const auto n = r.get<std::uint64_t>();
+  if (n != params_.size())
+    r.fail("parameter count mismatch: file has " + std::to_string(n));
+  std::vector<float> values(total_size());
+  float* out = values.data();
+  for (const auto& p : params_) {
+    if (r.get_vector<char>() != std::vector<char>(p.name.begin(), p.name.end()))
+      r.fail("parameter name mismatch at " + p.name);
+    const auto rows = r.get<std::uint64_t>();
+    const auto cols = r.get<std::uint64_t>();
+    if (rows != p.value.rows() || cols != p.value.cols())
+      r.fail("parameter '" + p.name + "' shape mismatch");
+    r.get_array(out, p.size());
+    out += p.size();
   }
+  return values;
+}
+
+void ParameterStore::save(std::ostream& os) const {
+  ByteWriter w;
+  save(w);
+  w.write_to(os, CodecError::kCheckpoint, "parameter store");
+}
+
+void ParameterStore::load(std::istream& is) {
+  ByteReader r(is, CodecError::kCheckpoint, "parameter store");
+  unflatten_values(read_values(r));
 }
 
 void init_kaiming_uniform(Matrix& w, Rng& rng) {
   // fan_in = rows for an (in x out) weight used as x·W.
-  const float bound =
+  const float bound =  // NOLINT(trkx-div-guard): max(1, rows) >= 1
       std::sqrt(6.0f / static_cast<float>(std::max<std::size_t>(1, w.rows())));
   for (float& x : w.flat()) x = rng.uniform(-bound, bound);
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tensor/matrix.hpp"
+#include "util/codec.hpp"
 
 namespace trkx {
 
@@ -59,6 +60,10 @@ class ParameterStore {
   void copy_values_from(const ParameterStore& other);
 
   /// Binary serialization: (count, then per-param name/rows/cols/data).
+  /// read_values() checks it against this store and returns the values
+  /// to unflatten; a mismatch throws CheckpointError.
+  void save(ByteWriter& w) const;
+  std::vector<float> read_values(ByteReader& r) const;
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

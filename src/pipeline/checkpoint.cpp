@@ -12,7 +12,7 @@
 
 #include "obs/metrics.hpp"
 #include "pipeline/gnn_train.hpp"
-#include "util/crc32.hpp"
+#include "util/codec.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -24,37 +24,9 @@ namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x50434b54;  // "TKCP"
 constexpr std::uint32_t kCheckpointVersion = 1;
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 34;  // 16 GiB sanity cap
 
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is.good()) throw CheckpointError("checkpoint payload truncated");
-  return v;
-}
-
-void put_floats(std::ostream& os, const std::vector<float>& v) {
-  put<std::uint64_t>(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-std::vector<float> get_floats(std::istream& is) {
-  const auto n = get<std::uint64_t>(is);
-  if (n > kMaxPayloadBytes / sizeof(float))
-    throw CheckpointError("checkpoint payload corrupt (implausible size)");
-  std::vector<float> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is.good()) throw CheckpointError("checkpoint payload truncated");
-  return v;
-}
+// Epoch summaries are stored as their struct: six 8-byte fields.
+static_assert(sizeof(TrainCheckpointState::EpochSummary) == 6 * 8);
 
 /// splitmix64 finalizer — the mixing step behind Rng, reused to fold
 /// config fields into the fingerprint.
@@ -72,11 +44,14 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
   return mix(h, bits);
 }
 
+/// IoError for `what` on `path` with errno's text, after removing the
+/// temp file `discard` (if any) so a failed write leaves nothing behind.
 [[noreturn]] void throw_errno(const std::string& what,
-                              const std::string& path) {
-  std::ostringstream os;
-  os << what << " " << path << ": " << std::strerror(errno);
-  throw IoError(os.str());
+                              const std::string& path,
+                              const char* discard = nullptr) {
+  const int saved = errno;
+  if (discard != nullptr) ::unlink(discard);
+  throw IoError(what + " " + path + ": " + std::strerror(saved));
 }
 
 /// RAII fd so error paths cannot leak descriptors.
@@ -87,140 +62,74 @@ struct Fd {
   }
 };
 
+TrainCheckpointState get_state(ByteReader& r) {
+  TrainCheckpointState state;
+  state.fingerprint = r.get<std::uint64_t>();
+  state.next_epoch = r.get<std::uint64_t>();
+  state.global_step = r.get<std::uint64_t>();
+  state.rng_state = r.get<std::uint64_t>();
+  state.rng_have_spare = r.get<std::uint8_t>() != 0;
+  state.rng_spare = r.get<double>();
+  state.early_best = r.get<double>();
+  state.early_bad_epochs = r.get<std::uint64_t>();
+  state.best_f1 = r.get<double>();
+  state.best_epoch = r.get<std::uint64_t>();
+  state.best_weights = r.get_vector<float>();
+  state.epochs = r.get_vector<TrainCheckpointState::EpochSummary>();
+  return state;
+}
+
+/// Decode into `store` and `opt`, which change only once every byte has
+/// been verified and decoded.
+TrainCheckpointState decode_checkpoint(ByteReader file, ParameterStore& store,
+                                       Adam& opt) {
+  ByteReader r =
+      file.get_envelope(kCheckpointMagic, kCheckpointVersion, "checkpoint");
+  TrainCheckpointState state = get_state(r);
+  const std::vector<float> values = store.read_values(r);
+  opt.load_state(r);
+  r.expect_end();
+  store.unflatten_values(values);
+  return state;
+}
+
 }  // namespace
 
 std::string serialize_checkpoint(const TrainCheckpointState& state,
                                  const ParameterStore& store,
                                  const Adam& opt) {
-  std::ostringstream payload(std::ios::binary);
-  put<std::uint64_t>(payload, state.fingerprint);
-  put<std::uint64_t>(payload, state.next_epoch);
-  put<std::uint64_t>(payload, state.global_step);
-  put<std::uint64_t>(payload, state.rng_state);
-  put<std::uint8_t>(payload, state.rng_have_spare ? 1 : 0);
-  put<double>(payload, state.rng_spare);
-  put<double>(payload, state.early_best);
-  put<std::uint64_t>(payload, state.early_bad_epochs);
-  put<double>(payload, state.best_f1);
-  put<std::uint64_t>(payload, state.best_epoch);
-  put_floats(payload, state.best_weights);
-  put<std::uint64_t>(payload, state.epochs.size());
-  for (const TrainCheckpointState::EpochSummary& e : state.epochs) {
-    put<double>(payload, e.train_loss);
-    put<std::uint64_t>(payload, e.tp);
-    put<std::uint64_t>(payload, e.fp);
-    put<std::uint64_t>(payload, e.tn);
-    put<std::uint64_t>(payload, e.fn);
-    put<double>(payload, e.wall_seconds);
-  }
+  ByteWriter payload;
+  payload.put(state.fingerprint);
+  payload.put(state.next_epoch);
+  payload.put(state.global_step);
+  payload.put(state.rng_state);
+  payload.put<std::uint8_t>(state.rng_have_spare ? 1 : 0);
+  payload.put(state.rng_spare);
+  payload.put(state.early_best);
+  payload.put(state.early_bad_epochs);
+  payload.put(state.best_f1);
+  payload.put(state.best_epoch);
+  payload.put_vector(state.best_weights);
+  payload.put_vector(state.epochs);
   store.save(payload);
   opt.save_state(payload);
-  const std::string bytes = payload.str();
-
-  std::ostringstream envelope(std::ios::binary);
-  put<std::uint32_t>(envelope, kCheckpointMagic);
-  put<std::uint32_t>(envelope, kCheckpointVersion);
-  put<std::uint64_t>(envelope, bytes.size());
-  put<std::uint32_t>(envelope, crc32(bytes.data(), bytes.size()));
-  envelope.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return envelope.str();
+  return ByteWriter::envelope(kCheckpointMagic, kCheckpointVersion,
+                              payload.bytes)
+      .bytes;
 }
-
-namespace {
-
-/// Validate the envelope and return the payload. Shared by the real
-/// deserializer and latest_checkpoint's candidate filter.
-std::string checked_payload(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  std::uint32_t magic = 0, version = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  is.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!is.good() || magic != kCheckpointMagic)
-    throw CheckpointError("not a trkx checkpoint (bad magic)");
-  if (version != kCheckpointVersion) {
-    std::ostringstream os;
-    os << "unsupported checkpoint version " << version << " (expected "
-       << kCheckpointVersion << ")";
-    throw CheckpointError(os.str());
-  }
-  std::uint64_t size = 0;
-  std::uint32_t crc_expect = 0;
-  is.read(reinterpret_cast<char*>(&size), sizeof(size));
-  is.read(reinterpret_cast<char*>(&crc_expect), sizeof(crc_expect));
-  if (!is.good() || size > kMaxPayloadBytes)
-    throw CheckpointError("checkpoint header corrupt");
-  std::string payload(size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(size));
-  if (!is.good() || is.gcount() != static_cast<std::streamsize>(size))
-    throw CheckpointError("checkpoint payload truncated");
-  const std::uint32_t crc_got = crc32(payload.data(), payload.size());
-  if (crc_got != crc_expect) {
-    std::ostringstream os;
-    os << "checkpoint CRC mismatch (stored " << crc_expect << ", computed "
-       << crc_got << ")";
-    throw CheckpointError(os.str());
-  }
-  return payload;
-}
-
-}  // namespace
 
 TrainCheckpointState deserialize_checkpoint(const std::string& bytes,
                                             ParameterStore& store,
                                             Adam& opt) {
-  const std::string payload = checked_payload(bytes);
-  std::istringstream is(payload, std::ios::binary);
-  TrainCheckpointState state;
-  state.fingerprint = get<std::uint64_t>(is);
-  state.next_epoch = get<std::uint64_t>(is);
-  state.global_step = get<std::uint64_t>(is);
-  state.rng_state = get<std::uint64_t>(is);
-  state.rng_have_spare = get<std::uint8_t>(is) != 0;
-  state.rng_spare = get<double>(is);
-  state.early_best = get<double>(is);
-  state.early_bad_epochs = get<std::uint64_t>(is);
-  state.best_f1 = get<double>(is);
-  state.best_epoch = get<std::uint64_t>(is);
-  state.best_weights = get_floats(is);
-  const auto num_epochs = get<std::uint64_t>(is);
-  if (num_epochs > kMaxPayloadBytes / sizeof(TrainCheckpointState::EpochSummary))
-    throw CheckpointError("checkpoint payload corrupt (epoch count)");
-  state.epochs.resize(num_epochs);
-  for (TrainCheckpointState::EpochSummary& e : state.epochs) {
-    e.train_loss = get<double>(is);
-    e.tp = get<std::uint64_t>(is);
-    e.fp = get<std::uint64_t>(is);
-    e.tn = get<std::uint64_t>(is);
-    e.fn = get<std::uint64_t>(is);
-    e.wall_seconds = get<double>(is);
-  }
-  try {
-    store.load(is);
-    opt.load_state(is);
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const Error& e) {
-    // ParameterStore::load failures (name/shape mismatches) surface as
-    // plain Error; reclassify — in this context they mean the checkpoint
-    // belongs to a different model.
-    throw CheckpointError(std::string("checkpoint model state rejected: ") +
-                          e.what());
-  }
-  return state;
+  return decode_checkpoint(
+      ByteReader(bytes, CodecError::kCheckpoint, "checkpoint"), store, opt);
 }
 
 TrainCheckpointState read_checkpoint(const std::string& path,
                                      ParameterStore& store, Adam& opt) {
   std::ifstream is(path, std::ios::binary);
-  if (!is.good()) throw CheckpointError("cannot open checkpoint " + path);
-  std::ostringstream buf(std::ios::binary);
-  buf << is.rdbuf();
-  if (is.bad()) throw CheckpointError("read failure on checkpoint " + path);
-  try {
-    return deserialize_checkpoint(buf.str(), store, opt);
-  } catch (const CheckpointError& e) {
-    throw CheckpointError(path + ": " + e.what());
-  }
+  return decode_checkpoint(ByteReader(is, CodecError::kCheckpoint, path),
+                           store, opt);
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
@@ -248,26 +157,15 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
           ::write(fd.fd, bytes.data() + written, bytes.size() - written);
       if (n < 0) {
         if (errno == EINTR) continue;
-        const int saved = errno;
-        ::unlink(tmp.c_str());
-        errno = saved;
-        throw_errno("write failed on", tmp.string());
+        throw_errno("write failed on", tmp.string(), tmp.c_str());
       }
       written += static_cast<std::size_t>(n);
     }
-    if (::fsync(fd.fd) != 0) {
-      const int saved = errno;
-      ::unlink(tmp.c_str());
-      errno = saved;
-      throw_errno("fsync failed on", tmp.string());
-    }
+    if (::fsync(fd.fd) != 0)
+      throw_errno("fsync failed on", tmp.string(), tmp.c_str());
   }
-  if (::rename(tmp.c_str(), dest.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    errno = saved;
-    throw_errno("rename failed for", dest.string());
-  }
+  if (::rename(tmp.c_str(), dest.c_str()) != 0)
+    throw_errno("rename failed for", dest.string(), tmp.c_str());
   // Persist the directory entry too: without this the rename itself can
   // be lost on power failure.
   Fd dirfd;
@@ -318,13 +216,10 @@ std::string latest_checkpoint(const std::string& dir) {
     std::uint64_t epoch = 0;
     try {
       std::ifstream is(entry.path(), std::ios::binary);
-      if (!is.good()) continue;
-      std::ostringstream buf(std::ios::binary);
-      buf << is.rdbuf();
-      const std::string payload = checked_payload(buf.str());
-      std::istringstream ps(payload, std::ios::binary);
-      (void)get<std::uint64_t>(ps);     // fingerprint
-      epoch = get<std::uint64_t>(ps);   // next_epoch
+      ByteReader file(is, CodecError::kCheckpoint, entry.path().string());
+      ByteReader payload =
+          file.get_envelope(kCheckpointMagic, kCheckpointVersion, "checkpoint");
+      epoch = get_state(payload).next_epoch;
     } catch (const Error& e) {
       TRKX_WARN << "checkpoint: skipping invalid " << entry.path().string()
                 << ": " << e.what();

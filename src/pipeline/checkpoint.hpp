@@ -55,7 +55,7 @@ std::string serialize_checkpoint(const TrainCheckpointState& state,
 
 /// Inverse of serialize_checkpoint: validates the envelope, then loads
 /// parameters into `store` and moments into `opt`. Throws CheckpointError
-/// on bad magic/version/CRC or layout mismatch.
+/// on bad magic/version/CRC or layout mismatch, leaving both unchanged.
 TrainCheckpointState deserialize_checkpoint(const std::string& bytes,
                                             ParameterStore& store, Adam& opt);
 

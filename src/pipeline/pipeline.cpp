@@ -4,9 +4,13 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/codec.hpp"
 #include "util/log.hpp"
 
 namespace trkx {
+
+constexpr std::uint32_t kModelMagic = 0x4c504b54;  // "TKPL"
+constexpr std::uint32_t kModelVersion = 1;
 
 TrackingPipeline::TrackingPipeline(std::size_t node_dim, std::size_t edge_dim,
                                    const PipelineConfig& config)
@@ -104,19 +108,34 @@ TrainResult TrackingPipeline::fit(const std::vector<Event>& train_events,
 }
 
 void TrackingPipeline::save(std::ostream& os) const {
-  os.write(reinterpret_cast<const char*>(&scales_), sizeof(scales_));
-  embedding_->store().save(os);
-  filter_->store().save(os);
-  gnn_->store.save(os);
-  TRKX_CHECK_MSG(os.good(), "pipeline save failed");
+  ByteWriter payload;
+  for (float scale : {scales_.r_max, scales_.z_max, scales_.eta_max})
+    payload.put(scale);
+  embedding_->store().save(payload);
+  filter_->store().save(payload);
+  gnn_->store.save(payload);
+  ByteWriter::envelope(kModelMagic, kModelVersion, payload.bytes)
+      .write_to(os, CodecError::kCheckpoint, "pipeline model");
 }
 
 void TrackingPipeline::load(std::istream& is) {
-  is.read(reinterpret_cast<char*>(&scales_), sizeof(scales_));
-  TRKX_CHECK_MSG(is.good(), "pipeline load: truncated stream");
-  embedding_->store().load(is);
-  filter_->store().load(is);
-  gnn_->store.load(is);
+  ByteReader file(is, CodecError::kCheckpoint, "pipeline model");
+  ByteReader r = file.get_envelope(kModelMagic, kModelVersion, "model file");
+  FeatureScales scales;
+  for (float* scale : {&scales.r_max, &scales.z_max, &scales.eta_max}) {
+    *scale = r.get<float>();
+    if (!std::isfinite(*scale) || *scale <= 0.0f)
+      r.fail("feature scale is not a positive finite number");
+  }
+  // Decode all three stages before committing any of them.
+  const std::vector<float> embedding = embedding_->store().read_values(r);
+  const std::vector<float> filter = filter_->store().read_values(r);
+  const std::vector<float> gnn = gnn_->store.read_values(r);
+  r.expect_end();
+  scales_ = scales;
+  embedding_->store().unflatten_values(embedding);
+  filter_->store().unflatten_values(filter);
+  gnn_->store.unflatten_values(gnn);
 }
 
 PipelineOutput TrackingPipeline::reconstruct(const Event& event) const {

@@ -70,8 +70,9 @@ class TrackingPipeline {
   const PipelineConfig& config() const { return config_; }
 
   /// Persist / restore all three trained stages plus the feature
-  /// normalisation envelope. The receiving pipeline must have been
-  /// constructed with the same configuration.
+  /// normalisation scales as one 'TKPL' model file (util/codec.hpp). The
+  /// receiving pipeline must have been constructed with the same
+  /// configuration; load() checks the whole file before changing anything.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "nn/scheduler.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/gnn_train.hpp"
+#include "util/codec.hpp"
 #include "util/error.hpp"
 
 namespace trkx {
@@ -201,9 +203,34 @@ TEST_F(CheckpointTest, CorruptBytesAreRejectedBeforeLoading) {
   EXPECT_THROW(deserialize_checkpoint(truncated, victim, vopt),
                CheckpointError);
 
+  // A size field claiming 1 GiB over a file of about 1 KB fails typed (and
+  // before anything that size is allocated); the directory scan skips it.
+  ASSERT_LT(bytes.size(), 4096u);
+  std::string lying_size = bytes;
+  const std::uint64_t one_gib = 1ull << 30;
+  std::memcpy(&lying_size[8], &one_gib, sizeof(one_gib));
+  EXPECT_THROW(deserialize_checkpoint(lying_size, victim, vopt),
+               CheckpointError);
+  write_checkpoint(checkpoint_path(dir_.string(), 1), sample_state(), store,
+                   opt);
+  atomic_write_file(checkpoint_path(dir_.string(), 9), lying_size);
+  EXPECT_EQ(fs::path(latest_checkpoint(dir_.string())).filename().string(),
+            "ckpt-000001.ckpt");
+
   // CRC rejection happens before deserialization, so the target store was
   // never written to.
   EXPECT_EQ(victim.flatten_values(), untouched);
+}
+
+// The checkpoint byte layout is a compatibility contract: checkpoints
+// written by earlier builds must keep resuming. The CRC-32 of a fixed
+// checkpoint pins every byte of it.
+TEST_F(CheckpointTest, SerializedBytesArePinned) {
+  ParameterStore store = make_store();
+  Adam opt(store, AdamOptions{});
+  const std::string bytes = serialize_checkpoint(sample_state(), store, opt);
+  EXPECT_EQ(bytes.size(), 491u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x523fbcedu);
 }
 
 TEST_F(CheckpointTest, WriteAndReadCheckpointFile) {

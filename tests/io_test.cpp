@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "io/csv.hpp"
 #include "io/event_io.hpp"
+#include "util/codec.hpp"
+#include "util/error.hpp"
 
 namespace trkx {
 namespace {
@@ -72,6 +75,65 @@ TEST(EventIoTest, TruncatedStreamRejected) {
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
   EXPECT_THROW(load_event(truncated), Error);
+}
+
+/// Two small hand-built events, independent of the generator, so pinned
+/// bytes change only when the container format does.
+std::vector<Event> fixed_events() {
+  std::vector<Event> events(2);
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    Event& e = events[k];
+    const float s = static_cast<float>(k + 1);
+    e.hits = {Hit{1.0f * s, 2.0f, 3.0f, 0, 0}, Hit{4.0f, 5.0f * s, 6.0f, 1, 0},
+              Hit{7.0f, 8.0f, 9.0f * s, 2, Hit::kNoise}};
+    TruthParticle p;
+    p.pt = 1.5f * s;
+    p.phi0 = 0.25f;
+    p.eta = -0.5f;
+    p.z0 = 2.0f;
+    p.charge = -1;
+    p.hits = {0, 1};
+    e.particles = {p};
+    e.graph = Graph(3, {Edge{0, 1}, Edge{1, 2}});
+    e.edge_labels = {1, 0};
+    e.node_features = Matrix(3, 2, 0.5f * s);
+    e.edge_features = Matrix(2, 3, -0.25f * s);
+  }
+  return events;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+// Event files written by earlier builds must keep loading: the CRC-32 of a
+// fixed two-event file pins every byte of the container layout.
+TEST(EventIoTest, FileBytesArePinned) {
+  const std::string path = "/tmp/trkx_io_test_pinned.bin";
+  save_events(path, fixed_events());
+  const std::string bytes = file_bytes(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes.size(), 524u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x45ed2ce7u);
+}
+
+// A count field of 2^31-1 over a two-event file must fail as IoError from
+// both loaders, before it sizes any allocation.
+TEST(EventIoTest, LyingEventCountFailsTyped) {
+  const std::string path = "/tmp/trkx_io_test_lying_count.bin";
+  save_events(path, fixed_events());
+  std::string bytes = file_bytes(path);
+  const std::uint64_t lie = (1ull << 31) - 1;
+  std::memcpy(&bytes[8], &lie, sizeof(lie));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  EXPECT_THROW(load_events(path), IoError);
+  EXPECT_THROW(load_events_tolerant(path), IoError);
+  std::remove(path.c_str());
 }
 
 TEST(EventIoTest, MissingFileThrows) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "pipeline/pipeline.hpp"
+#include "util/codec.hpp"
+#include "util/error.hpp"
 
 namespace trkx {
 namespace {
@@ -502,6 +505,82 @@ TEST(PipelineTest, SaveLoadRoundTripPreservesReconstruction) {
   EXPECT_EQ(a.tracks.size(), b.tracks.size());
   EXPECT_EQ(a.metrics.matched, b.metrics.matched);
   EXPECT_EQ(a.edge_metrics.true_positives, b.edge_metrics.true_positives);
+}
+
+// ---------- model file ----------
+
+/// A small untrained pipeline; `seed` varies every stage's initial weights.
+std::unique_ptr<TrackingPipeline> model_pipeline(std::uint64_t seed) {
+  PipelineConfig cfg;
+  cfg.gnn.hidden_dim = 8;
+  cfg.gnn.num_layers = 1;
+  cfg.gnn.mlp_hidden = 1;
+  cfg.embedding.seed = seed;
+  cfg.filter.seed = seed + 1;
+  cfg.gnn_train.seed = seed + 2;
+  const DetectorConfig detector;
+  return std::make_unique<TrackingPipeline>(
+      detector.node_feature_dim, detector.edge_feature_dim, cfg);
+}
+
+std::string model_bytes(const TrackingPipeline& pipeline) {
+  std::ostringstream os;
+  pipeline.save(os);
+  return os.str();
+}
+
+void load_model(TrackingPipeline& pipeline, const std::string& bytes) {
+  std::istringstream is(bytes);
+  pipeline.load(is);
+}
+
+TEST(PipelineModelTest, FlippedWeightByteIsRejected) {
+  std::string bytes = model_bytes(*model_pipeline(10));
+  bytes[bytes.size() - 3] ^= 0x10;  // inside the last GNN weight
+  auto target = model_pipeline(20);
+  const std::string before = model_bytes(*target);
+  EXPECT_THROW(load_model(*target, bytes), CheckpointError);
+  EXPECT_EQ(model_bytes(*target), before);
+}
+
+TEST(PipelineModelTest, NanFeatureScaleIsRejected) {
+  std::string bytes = model_bytes(*model_pipeline(10));
+  // An untrained pipeline carries the default scales back to back.
+  const FeatureScales defaults;
+  std::string pattern(3 * sizeof(float), '\0');
+  std::memcpy(&pattern[0], &defaults.r_max, sizeof(float));
+  std::memcpy(&pattern[4], &defaults.z_max, sizeof(float));
+  std::memcpy(&pattern[8], &defaults.eta_max, sizeof(float));
+  const std::size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(&bytes[at], &nan, sizeof(nan));
+  // Re-seal the envelope {magic, version, u64 length, u32 crc32, payload}
+  // so that only the scale check itself can reject the file.
+  const std::uint32_t crc = crc32(bytes.data() + 20, bytes.size() - 20);
+  std::memcpy(&bytes[16], &crc, sizeof(crc));
+  auto target = model_pipeline(20);
+  const std::string before = model_bytes(*target);
+  EXPECT_THROW(load_model(*target, bytes), CheckpointError);
+  EXPECT_EQ(model_bytes(*target), before);
+}
+
+TEST(PipelineModelTest, TruncatedFileLeavesPipelineUnchanged) {
+  const std::string bytes = model_bytes(*model_pipeline(10));
+  auto target = model_pipeline(20);
+  const std::string before = model_bytes(*target);
+  ASSERT_NE(before, bytes);
+  EXPECT_THROW(load_model(*target, bytes.substr(0, bytes.size() / 2)),
+               CheckpointError);
+  EXPECT_EQ(model_bytes(*target), before);
+}
+
+TEST(PipelineModelTest, RoundTripAndTrailingBytes) {
+  const std::string bytes = model_bytes(*model_pipeline(10));
+  auto target = model_pipeline(20);
+  EXPECT_THROW(load_model(*target, bytes + "x"), CheckpointError);
+  load_model(*target, bytes);
+  EXPECT_EQ(model_bytes(*target), bytes);
 }
 
 // ---------- full pipeline ----------

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "util/cli.hpp"
+#include "util/codec.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -539,6 +541,73 @@ TEST(ExceptionBarrier, NonThrowingBodyPassesThrough) {
   EXPECT_EQ(runs, 1);
   EXPECT_FALSE(barrier.cancelled());
   barrier.rethrow();  // nothing captured: no-op
+}
+
+
+// ---------- codec ----------
+
+TEST(Codec, Crc32MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xcbf43926u);
+  // Chaining blocks through `seed` equals one pass over the whole range.
+  EXPECT_EQ(crc32(check.data() + 4, 5, crc32(check.data(), 4)), 0xcbf43926u);
+}
+
+TEST(Codec, EnvelopeRoundTripsLittleEndian) {
+  ByteWriter payload;
+  payload.put<std::uint32_t>(0x01020304u);
+  payload.put_vector(std::string("ab"));
+  payload.put_vector(std::vector<float>{1.5f, -2.0f});
+  const ByteWriter file = ByteWriter::envelope(0x4c504b54u, 7, payload.bytes);
+  const std::string& bytes = file.bytes;
+  ASSERT_EQ(bytes.size(), 8 + kFrameHeaderBytes + payload.bytes.size());
+  EXPECT_EQ(bytes.substr(0, 4), "TKPL");
+  EXPECT_EQ(static_cast<unsigned char>(bytes[20]), 0x04u);
+
+  ByteReader r(bytes, CodecError::kIo, "mem");
+  ByteReader p = r.get_envelope(0x4c504b54u, 7, "test file");
+  r.expect_end();
+  EXPECT_EQ(p.get<std::uint32_t>(), 0x01020304u);
+  EXPECT_EQ(p.get_vector<char>(), (std::vector<char>{'a', 'b'}));
+  EXPECT_EQ(p.get_vector<float>(), (std::vector<float>{1.5f, -2.0f}));
+  p.expect_end();
+}
+
+TEST(Codec, LyingFieldsFailTypedWithSourceAndOffset) {
+  ByteWriter w;
+  w.put<std::uint64_t>(1ull << 40);  // a count no 8 bytes can hold
+  const std::string bytes = w.bytes;
+  ByteReader io(bytes, CodecError::kIo, "events.bin");
+  try {
+    (void)io.get_count(1);
+    FAIL() << "lying count accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("events.bin at byte 8"),
+              std::string::npos)
+        << e.what();
+  }
+  ByteReader ckpt(bytes, CodecError::kCheckpoint, "model");
+  EXPECT_THROW((void)ckpt.get_frame(), CheckpointError);
+  ByteReader bad_magic(bytes, CodecError::kCheckpoint, "model");
+  EXPECT_THROW((void)bad_magic.get_envelope(0x4c504b54u, 1, "model"),
+               CheckpointError);
+}
+
+TEST(Codec, StreamReadsFramesBoundedByTheBytesLeft) {
+  ByteWriter w;
+  w.put_frame("payload");
+  w.put_frame("second");
+  std::istringstream is(w.bytes);
+  ByteReader in(is, CodecError::kIo, "stream");
+  in.skip_frame();
+  EXPECT_EQ(in.offset(), kFrameHeaderBytes + 7);
+  EXPECT_EQ(in.get_frame().remaining(), 6u);
+  in.expect_end();
+
+  std::istringstream torn(w.bytes.substr(0, w.bytes.size() - 1));
+  ByteReader torn_in(torn, CodecError::kIo, "stream");
+  (void)torn_in.get_frame();
+  EXPECT_THROW((void)torn_in.get_frame(), IoError);
 }
 
 }  // namespace
