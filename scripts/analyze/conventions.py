@@ -1,7 +1,7 @@
 """conventions pass: the original project-lint invariants, folded into
 the analyzer as its fourth pass.  It runs over src/, tests/ and bench/
 in the ``trkx_analyze`` ctest; ``trkx-analyze --passes conventions
---check-headers`` is the lint leg of check_static.sh and ci_matrix.sh.
+--check-headers`` is the lint half of ci_matrix.sh's lint-tidy leg.
 
 Rules:
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# ci_matrix.sh — run the full correctness/config matrix with distinct
-# build dirs and emit a machine-readable summary.
+# ci_matrix.sh — the one CI entry point: run the full correctness/config
+# matrix with distinct build dirs and emit a machine-readable summary.
 #
 # Configurations:
 #   release      RelWithDebInfo build + full ctest suite (tier-1 gate)
@@ -25,7 +25,11 @@
 #                fact database to build-ci/facts.json unconditionally,
 #                as its own gated step
 #   lint-tidy    trkx-analyze conventions pass (+ standalone headers) and
-#                clang-tidy if installed
+#                clang-tidy over src/ if installed (.clang-tidy)
+#   tsa          Clang -Wthread-safety build (CMakeLists.txt makes the
+#                analysis an error under Clang); the build is the check,
+#                no tests run. Recorded as skipped without clang++: the
+#                annotations compile as no-ops under GCC
 #   serve        serving robustness leg: trkx-serve driven end-to-end
 #                under a TRKX_FAULTS matrix (transient/persistent stage
 #                faults, admission faults, overload, corrupt-checkpoint
@@ -64,10 +68,13 @@ while [ "$#" -gt 0 ]; do
   esac
 done
 
-export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
+# Sanitizer runtime options. halt_on_error turns any report into a test
+# failure; the suppression files silence known libgomp runtime noise only
+# (policy: scripts/sanitizers/*.supp headers).
+export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 export LSAN_OPTIONS="suppressions=$SUPP/lsan.supp"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:suppressions=$SUPP/ubsan.supp"
-export TSAN_OPTIONS="halt_on_error=1:suppressions=$SUPP/tsan.supp"
+export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$SUPP/tsan.supp"
 
 mkdir -p build-ci
 NAMES=() STATUSES=() SECONDS_LIST=() DETAILS=() FINDINGS_LIST=()
@@ -401,20 +408,34 @@ fi
 if wants lint-tidy; then
   t0=$(date +%s)
   lint_log=build-ci/lint.log
-  if python3 scripts/trkx-analyze --root . --passes conventions \
-       --check-headers --compiler "${CXX:-c++}" > "$lint_log" 2>&1; then
-    if command -v clang-tidy > /dev/null 2>&1; then
-      if bash scripts/check_static.sh --tidy >> "$lint_log" 2>&1; then
-        record lint-tidy pass "$(( $(date +%s) - t0 ))" "$lint_log"
-      else
-        record lint-tidy fail "$(( $(date +%s) - t0 ))" "$lint_log"
-      fi
+  status=pass detail="$lint_log"
+  python3 scripts/trkx-analyze --root . --passes conventions \
+    --check-headers --compiler "${CXX:-c++}" > "$lint_log" 2>&1 ||
+    status=fail
+  if command -v clang-tidy > /dev/null 2>&1; then
+    dir=build-ci/tidy
+    mkdir -p "$dir"
+    if cmake -B "$dir" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+         -DTRKX_BUILD_BENCHES=OFF -DTRKX_BUILD_EXAMPLES=OFF \
+         > "$dir/configure.log" 2>&1; then
+      mapfile -t tidy_sources < <(find src -name '*.cpp' | sort)
+      clang-tidy -p "$dir" --quiet "${tidy_sources[@]}" >> "$lint_log" 2>&1 ||
+        status=fail
     else
-      record lint-tidy pass "$(( $(date +%s) - t0 ))" \
-        "lint only (clang-tidy not installed)"
+      status=fail detail="configure: $dir/configure.log"
     fi
+  elif [ "$status" = pass ]; then
+    detail="lint only (clang-tidy not installed)"
+  fi
+  record lint-tidy "$status" "$(( $(date +%s) - t0 ))" "$detail"
+fi
+
+if wants tsa; then
+  if command -v clang++ > /dev/null 2>&1; then
+    build_and_test tsa -R '^$' -- -DCMAKE_CXX_COMPILER=clang++ \
+      -DTRKX_BUILD_BENCHES=OFF -DTRKX_BUILD_EXAMPLES=OFF
   else
-    record lint-tidy fail "$(( $(date +%s) - t0 ))" "$lint_log"
+    record tsa pass 0 "skipped (clang++ not installed)"
   fi
 fi
 

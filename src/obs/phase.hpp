@@ -13,25 +13,22 @@ namespace trkx {
 ///   2. a span in the global TraceSession (Perfetto timeline),
 ///   3. a `phase.<name>_s` histogram in the global MetricsRegistry
 ///      (percentiles across the run).
-/// The successor to ScopedPhase in instrumented code; `name` must be a
-/// string literal (it names the trace span and the Figure 3 phase —
-/// "sample", "train", "allreduce", "eval").
+/// `name` must be a string literal: it names the trace span and the
+/// Figure 3 phase ("sample", "gather", "train", "allreduce").
 class PhaseSpan {
  public:
   PhaseSpan(PhaseTimers& timers, const char* name)
-      : timers_(&timers), name_(name), scope_(name, "phase") {}
-  explicit PhaseSpan(const char* name)
-      : timers_(nullptr), name_(name), scope_(name, "phase") {}
+      : timers_(timers), name_(name), scope_(name, "phase") {}
   ~PhaseSpan() {
     const double s = timer_.seconds();
-    if (timers_) timers_->add(name_, s);
+    timers_.add(name_, s);
     metrics().histogram(std::string("phase.") + name_ + "_s").observe(s);
   }
   PhaseSpan(const PhaseSpan&) = delete;
   PhaseSpan& operator=(const PhaseSpan&) = delete;
 
  private:
-  PhaseTimers* timers_;
+  PhaseTimers& timers_;
   const char* name_;
   TraceScope scope_;
   WallTimer timer_;

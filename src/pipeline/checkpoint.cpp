@@ -234,7 +234,8 @@ std::string latest_checkpoint(const std::string& dir) {
 }
 
 std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
-                                     SamplerKind sampler, int world_size) {
+                                     std::optional<SamplerKind> sampler,
+                                     int world_size) {
   std::uint64_t h = 0x74726b78636b7074ull;  // "trkxckpt"
   h = mix(h, config.seed);
   h = mix(h, config.batch_size);
@@ -242,7 +243,13 @@ std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
   h = mix(h, config.shadow.depth);
   h = mix(h, config.shadow.fanout);
   h = mix(h, config.shadow.generic_spgemm ? 1 : 0);
-  h = mix(h, static_cast<std::uint64_t>(sampler));
+  if (sampler.has_value()) {
+    h = mix(h, static_cast<std::uint64_t>(*sampler));
+  } else {
+    h = mix(h, 0x66756c6cull);  // "full": no sampler
+    h = mix(h, config.max_edges);
+    h = mix(h, config.memory_budget_bytes);
+  }
   h = mix(h, static_cast<std::uint64_t>(world_size));
   h = mix_double(h, static_cast<double>(config.lr));
   h = mix_double(h, static_cast<double>(config.pos_weight));

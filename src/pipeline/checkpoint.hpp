@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,7 @@ struct GnnTrainConfig;
 enum class SamplerKind;
 
 /// Everything besides model parameters and optimizer moments that the
-/// ShaDow training loop needs to continue a run bit-identically: the
+/// GNN training loop needs to continue a run bit-identically: the
 /// epoch/step cursor, the shared batch-order RNG (sampling randomness is
 /// keyed per (rank, epoch, event, batch) via Rng::stream, so it needs no
 /// state here), model-selection and early-stopping state, and the
@@ -91,8 +92,11 @@ std::string checkpoint_path(const std::string& dir, std::uint64_t next_epoch);
 std::string latest_checkpoint(const std::string& dir);
 
 /// Fingerprint of the parts of the run configuration that determine the
-/// training trajectory. Resume requires an exact match.
+/// training trajectory. Resume requires an exact match. `sampler` is
+/// nullopt for full-graph training, whose fingerprint also covers the
+/// memory limits that decide which events it trains on.
 std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
-                                     SamplerKind sampler, int world_size);
+                                     std::optional<SamplerKind> sampler,
+                                     int world_size);
 
 }  // namespace trkx

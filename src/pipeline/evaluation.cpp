@@ -106,19 +106,4 @@ ThresholdPoint best_f1_point(const ScoredEdges& edges,
   return *it;
 }
 
-TrackingMetrics evaluate_tracking(const GnnModel& model,
-                                  const std::vector<Event>& events,
-                                  const TrackBuildConfig& config) {
-  TrackingMetrics total;
-  for (const Event& event : events) {
-    std::vector<float> scores;
-    if (event.graph.num_edges() > 0)
-      scores = model.gnn->predict(event.node_features, event.edge_features,
-                                  event.graph);
-    const auto tracks = build_tracks(event, scores, config);
-    total.merge(score_tracks(event, tracks, config));
-  }
-  return total;
-}
-
 }  // namespace trkx

@@ -5,7 +5,6 @@
 
 #include "detector/generator.hpp"
 #include "pipeline/gnn_train.hpp"
-#include "pipeline/track_building.hpp"
 #include "util/stats.hpp"
 
 namespace trkx {
@@ -47,11 +46,5 @@ std::vector<float> uniform_thresholds(std::size_t n);
 /// The threshold (from `thresholds`) maximising F1.
 ThresholdPoint best_f1_point(const ScoredEdges& edges,
                              const std::vector<float>& thresholds);
-
-/// Track-level evaluation: run inference + track building over events and
-/// aggregate physics metrics.
-TrackingMetrics evaluate_tracking(const GnnModel& model,
-                                  const std::vector<Event>& events,
-                                  const TrackBuildConfig& config);
 
 }  // namespace trkx

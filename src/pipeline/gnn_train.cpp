@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "obs/manifest.hpp"
@@ -95,8 +96,12 @@ bool fits_memory_budget(const GnnTrainConfig& config, const IgnnConfig& gnn,
 
 namespace {
 
-/// Tensors for one gradient step on a (sub)graph.
+/// Tensors for one gradient step on a (sub)graph. `graph` points at a
+/// ShaDow subgraph in the PreparedUnit's samples (moving the unit keeps
+/// the vector's buffer) or, in full-graph mode, at the training event's
+/// own graph; null marks an empty rank shard.
 struct StepData {
+  const Graph* graph = nullptr;
   Matrix node_features;
   Matrix edge_features;
   std::vector<float> labels;
@@ -104,6 +109,7 @@ struct StepData {
 
 StepData gather_sample(const Event& event, const ShadowSample& sample) {
   StepData d;
+  d.graph = &sample.sub.graph;
   d.node_features = row_gather(event.node_features, sample.sub.vertex_map);
   d.edge_features = row_gather(event.edge_features, sample.sub.edge_map);
   d.labels.reserve(sample.sub.edge_map.size());
@@ -112,11 +118,22 @@ StepData gather_sample(const Event& event, const ShadowSample& sample) {
   return d;
 }
 
+/// Full-graph mode's one step per event: the whole event.
+StepData whole_event(const Event& event) {
+  StepData d;
+  d.graph = &event.graph;
+  d.node_features = event.node_features;
+  d.edge_features = event.edge_features;
+  d.labels.assign(event.edge_labels.begin(), event.edge_labels.end());
+  return d;
+}
+
 /// zero_grad + forward + loss + backward; returns the loss value. Does NOT
 /// step the optimizer (DDP synchronises gradients in between).
-double compute_gradients(GnnModel& model, Optimizer& opt, const Graph& graph,
-                         const StepData& data, float pos_weight) {
+double compute_gradients(GnnModel& model, Optimizer& opt, const StepData& data,
+                         float pos_weight) {
   opt.zero_grad();
+  const Graph& graph = *data.graph;
   if (graph.num_edges() == 0) return 0.0;
   TapeContext ctx;
   Var loss;
@@ -166,114 +183,29 @@ std::vector<std::uint32_t> shard_batch(const std::vector<std::uint32_t>& batch,
           batch.begin() + static_cast<std::ptrdiff_t>(end)};
 }
 
-TrainResult train_full_graph(GnnModel& model, const std::vector<Event>& train,
-                             const std::vector<Event>& val,
-                             const GnnTrainConfig& config) {
-  TRKX_CHECK(!train.empty());
-  TrainResult result;
-  WallTimer total_timer;
-  Adam opt(model.store, AdamOptions{.lr = config.lr});
-  const float pos_weight =
-      config.pos_weight > 0.0f ? config.pos_weight : auto_pos_weight(train);
-  // The full-graph baseline is single-rank with no prefetch and no
-  // mid-epoch resume, so sequential draws are confined to this function.
-  // NOLINT(trkx-rng-stream): single-rank baseline, sequential by design
-  Rng rng(config.seed);
-  EarlyStopping early(std::max<std::size_t>(config.early_stop_patience, 1));
-  std::size_t global_step = 0;
-  std::vector<float> best_weights;
-  double best_f1 = -1.0;
-
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-    TRKX_TRACE_SPAN("epoch", "train");
-    EpochRecord record;
-    WallTimer epoch_timer;
-    double loss_sum = 0.0;
-    std::size_t steps = 0;
-    std::vector<std::uint32_t> order(train.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order[i] = static_cast<std::uint32_t>(i);
-    rng.shuffle(order);
-    for (std::uint32_t ei : order) {
-      const Event& event = train[ei];
-      if (!fits_memory_budget(config, model.config, event)) {
-        // The paper's memory-wall behaviour: the graph would not fit on
-        // the GPU, so the original pipeline skips it entirely.
-        if (epoch == 0) ++result.skipped_graphs;
-        continue;
-      }
-      if (event.num_edges() == 0) continue;
-      PhaseSpan phase(record.timers, "train");
-      StepData data;
-      data.node_features = event.node_features;
-      data.edge_features = event.edge_features;
-      data.labels.assign(event.edge_labels.begin(), event.edge_labels.end());
-      loss_sum += compute_gradients(model, opt, event.graph, data, pos_weight);
-      if (config.scheduler) config.scheduler->apply(opt, global_step);
-      apply_step(opt, config.grad_clip);
-      ++global_step;
-      ++steps;
-    }
-    record.train_loss = steps == 0 ? 0.0 : loss_sum / static_cast<double>(steps);
-    if (config.evaluate_every_epoch)
-      record.val = evaluate_edges(model, val, config.eval_threshold);
-    record.wall_seconds = epoch_timer.seconds();
-    const double val_f1 = record.val.f1();
-    metrics().counter("train.epochs").add(1);
-    metrics().gauge("train.loss").set(record.train_loss);
-    metrics().gauge("val.precision").set(record.val.precision());
-    metrics().gauge("val.recall").set(record.val.recall());
-    metrics().histogram("epoch.wall_s").observe(record.wall_seconds);
-    result.epochs.push_back(std::move(record));
-    TRKX_DEBUG << "full-graph epoch " << epoch << " loss "
-               << result.epochs.back().train_loss << " valP "
-               << result.epochs.back().val.precision() << " valR "
-               << result.epochs.back().val.recall();
-    result.selected_epoch = epoch;
-    if (config.keep_best_weights && config.evaluate_every_epoch &&
-        val_f1 > best_f1) {
-      best_f1 = val_f1;
-      best_weights = model.store.flatten_values();
-      result.selected_epoch = epoch;
-    }
-    if (config.early_stop_patience > 0 && config.evaluate_every_epoch) {
-      early.update(val_f1);
-      if (early.should_stop()) break;
-    }
-  }
-  if (config.keep_best_weights && !best_weights.empty()) {
-    model.store.unflatten_values(best_weights);
-    // selected_epoch already points at the best epoch.
-    for (std::size_t e = 0; e < result.epochs.size(); ++e)
-      if (result.epochs[e].val.f1() == best_f1) {
-        result.selected_epoch = e;
-        break;
-      }
-  }
-  result.total_seconds = total_timer.seconds();
-  return result;
-}
-
 namespace {
 
-/// Shared epoch loop for single-process and DDP ShaDow training. The rank
-/// abstraction collapses to rank 0 of 1 in the single-process case.
+/// Shared epoch loop for full-graph, single-process ShaDow and DDP ShaDow
+/// training. The rank abstraction collapses to rank 0 of 1 in the
+/// single-process case; full-graph training is the sampler-less case.
 struct ShadowTrainContext {
   GnnModel* model;
   Adam* opt;
   const std::vector<Event>* train;
   const std::vector<Event>* val;
   const GnnTrainConfig* config;
-  SamplerKind sampler_kind;
+  /// nullopt = full graph: one whole-event step per event that fits.
+  std::optional<SamplerKind> sampler_kind;
   float pos_weight;
   Communicator* comm = nullptr;  // null = single process
   TrainResult* result = nullptr; // written by rank 0 only
 };
 
-/// One prefetchable unit of sampling work: a single minibatch for the
-/// reference sampler, one bulk-k chunk for the matrix sampler. Built
-/// serially at epoch start (so the shared batch_rng sequence is identical
-/// on every rank), then produced in any order by the prefetch pipeline.
+/// One prefetchable unit of work: a single minibatch for the reference
+/// sampler, one bulk-k chunk for the matrix sampler, a whole event (no
+/// batches) in full-graph mode. Built serially at epoch start (so the
+/// shared batch_rng sequence is identical on every rank), then produced
+/// in any order by the prefetch pipeline.
 struct SampleUnit {
   std::uint32_t ei = 0;         ///< event index into the training set
   std::size_t first_batch = 0;  ///< event-local index of batches.front()
@@ -281,12 +213,11 @@ struct SampleUnit {
 };
 
 /// A unit after sampling and gathering — everything forward/backward
-/// needs. Entries with empty roots are empty rank shards that still
-/// participate in the gradient all-reduce.
+/// needs. A step with no graph is an empty rank shard that still
+/// participates in the gradient all-reduce.
 struct PreparedUnit {
-  std::uint32_t ei = 0;
-  std::vector<ShadowSample> samples;
-  std::vector<StepData> data;  ///< parallel to samples
+  std::vector<ShadowSample> samples;  ///< empty in full-graph mode
+  std::vector<StepData> data;         ///< one entry per optimizer step
 };
 
 /// Domain-separation tag for the per-(rank, epoch, event, batch) sampling
@@ -342,6 +273,7 @@ void run_shadow_training(ShadowTrainContext ctx) {
   const int rank = ctx.comm ? ctx.comm->rank() : 0;
   const int world = ctx.comm ? ctx.comm->size() : 1;
   const bool is_root = rank == 0;
+  const bool whole_events = !ctx.sampler_kind.has_value();
   WallTimer total_timer;
 
   // Per-event samplers, built once (adjacency precomputation dominates).
@@ -351,7 +283,7 @@ void run_shadow_training(ShadowTrainContext ctx) {
     if (ctx.sampler_kind == SamplerKind::kReference)
       ref_samplers.push_back(
           std::make_unique<ShadowSampler>(e.graph, config.shadow));
-    else
+    else if (ctx.sampler_kind == SamplerKind::kMatrixBulk)
       mat_samplers.push_back(
           std::make_unique<MatrixShadowSampler>(e.graph, config.shadow));
   }
@@ -451,6 +383,16 @@ void run_shadow_training(ShadowTrainContext ctx) {
     std::vector<SampleUnit> units;
     for (std::uint32_t ei : order) {
       const Event& event = (*ctx.train)[ei];
+      if (whole_events) {
+        // The paper's memory wall: a graph that would not fit on the GPU
+        // is skipped entirely. An edgeless graph takes no step.
+        if (!fits_memory_budget(config, ctx.model->config, event)) {
+          if (is_root && epoch == start_epoch) ++ctx.result->skipped_graphs;
+        } else if (event.num_edges() > 0) {
+          units.push_back(SampleUnit{ei, 0, {}});
+        }
+        continue;
+      }
       if (event.num_hits() == 0) continue;
       const auto global_batches =
           event_minibatches(event, config.batch_size, batch_rng);
@@ -482,11 +424,15 @@ void run_shadow_training(ShadowTrainContext ctx) {
       TRKX_TRACE_SPAN("prefetch.produce", "prefetch");
       const SampleUnit& unit = units[u];
       const Event& event = (*ctx.train)[unit.ei];
+      PreparedUnit out;
+      if (whole_events) {
+        PhaseSpan phase(record.timers, "gather");
+        out.data.push_back(whole_event(event));
+        return out;
+      }
       Rng rng = Rng::stream(config.seed ^ kSampleStreamTag,
                             static_cast<std::uint64_t>(rank), epoch,
                             unit.ei, unit.first_batch);
-      PreparedUnit out;
-      out.ei = unit.ei;
       {
         PhaseSpan phase(record.timers, "sample");
         if (ctx.sampler_kind == SamplerKind::kReference) {
@@ -536,15 +482,12 @@ void run_shadow_training(ShadowTrainContext ctx) {
         }
         metrics().gauge("prefetch.depth")
             .set(static_cast<double>(queue.ready_ahead()));
-        for (std::size_t j = 0; j < prepared.samples.size(); ++j) {
-          const ShadowSample& sample = prepared.samples[j];
+        for (const StepData& step : prepared.data) {
           double local_loss = 0.0;
           {
             PhaseSpan phase(record.timers, "train");
-            if (!sample.roots.empty()) {
-              local_loss = compute_gradients(*ctx.model, *ctx.opt,
-                                             sample.sub.graph,
-                                             prepared.data[j],
+            if (step.graph != nullptr) {
+              local_loss = compute_gradients(*ctx.model, *ctx.opt, step,
                                              ctx.pos_weight);
             } else {
               ctx.opt->zero_grad();  // empty shard still participates
@@ -623,7 +566,7 @@ void run_shadow_training(ShadowTrainContext ctx) {
       summaries.push_back(summary);
     }
     if (is_root) {
-      TRKX_DEBUG << "shadow epoch " << epoch << " loss " << record.train_loss
+      TRKX_DEBUG << "epoch " << epoch << " loss " << record.train_loss
                  << " valP " << record.val.precision() << " valR "
                  << record.val.recall();
       metrics().counter("train.epochs").add(1);
@@ -704,11 +647,11 @@ void run_shadow_training(ShadowTrainContext ctx) {
   }
 }
 
-}  // namespace
-
-TrainResult train_shadow(GnnModel& model, const std::vector<Event>& train,
-                         const std::vector<Event>& val,
-                         const GnnTrainConfig& config, SamplerKind sampler) {
+TrainResult train_single_process(GnnModel& model,
+                                 const std::vector<Event>& train,
+                                 const std::vector<Event>& val,
+                                 const GnnTrainConfig& config,
+                                 std::optional<SamplerKind> sampler) {
   TRKX_CHECK(!train.empty());
   TrainResult result;
   Adam opt(model.store, AdamOptions{.lr = config.lr});
@@ -724,6 +667,20 @@ TrainResult train_shadow(GnnModel& model, const std::vector<Event>& train,
   ctx.result = &result;
   run_shadow_training(ctx);
   return result;
+}
+
+}  // namespace
+
+TrainResult train_full_graph(GnnModel& model, const std::vector<Event>& train,
+                             const std::vector<Event>& val,
+                             const GnnTrainConfig& config) {
+  return train_single_process(model, train, val, config, std::nullopt);
+}
+
+TrainResult train_shadow(GnnModel& model, const std::vector<Event>& train,
+                         const std::vector<Event>& val,
+                         const GnnTrainConfig& config, SamplerKind sampler) {
+  return train_single_process(model, train, val, config, sampler);
 }
 
 TrainResult train_shadow_ddp(GnnModel& model, const std::vector<Event>& train,

@@ -148,8 +148,10 @@ bool fits_memory_budget(const GnnTrainConfig& config, const IgnnConfig& gnn,
                         const Event& event);
 
 /// Full-graph training: one gradient step per event graph per epoch, the
-/// original Exa.TrkX regime. Graphs with more than config.max_edges edges
-/// are skipped (counted in TrainResult::skipped_graphs).
+/// original Exa.TrkX regime, in the same epoch loop as ShaDow training
+/// (validation, model selection, early stopping, checkpoints). Graphs over
+/// config.max_edges / memory_budget_bytes are skipped (counted once in
+/// TrainResult::skipped_graphs); edgeless graphs take no step.
 TrainResult train_full_graph(GnnModel& model, const std::vector<Event>& train,
                              const std::vector<Event>& val,
                              const GnnTrainConfig& config);

@@ -24,13 +24,6 @@ TrackingPipeline::TrackingPipeline(std::size_t node_dim, std::size_t edge_dim,
   gnn_ = std::make_unique<GnnModel>(gnn_cfg, config.gnn_train.seed);
 }
 
-Event TrackingPipeline::prepare_event(const Event& event) const {
-  Event out = event;
-  embed_stage(out);
-  filter_stage(out, 1.0f);
-  return out;
-}
-
 void TrackingPipeline::embed_stage(Event& event) const {
   if (!config_.use_learned_graphs) return;
   const Matrix embedded = embedding_->embed(event.node_features);
@@ -42,17 +35,6 @@ std::size_t TrackingPipeline::filter_stage(Event& event,
   if (!config_.use_learned_graphs) return 0;
   return filter_->apply(event,
                         filter_->config().keep_threshold * threshold_scale);
-}
-
-std::vector<float> TrackingPipeline::gnn_stage(const Event& event) const {
-  if (event.graph.num_edges() == 0) return {};
-  return gnn_->gnn->predict(event.node_features, event.edge_features,
-                            event.graph);
-}
-
-std::vector<TrackCandidate> TrackingPipeline::build_stage(
-    const Event& event, const std::vector<float>& scores) const {
-  return build_tracks(event, scores, config_.track);
 }
 
 TrainResult TrackingPipeline::fit(const std::vector<Event>& train_events,
@@ -90,8 +72,12 @@ TrainResult TrackingPipeline::fit(const std::vector<Event>& train_events,
     filter_->train(frnn_train);
     for (Event& e : frnn_train) filter_stage(e, 1.0f);
     gnn_train_events = std::move(frnn_train);
-    for (const Event& e : val_events)
-      gnn_val_events.push_back(prepare_event(e));
+    for (const Event& e : val_events) {
+      Event copy = e;
+      embed_stage(copy);
+      filter_stage(copy, 1.0f);
+      gnn_val_events.push_back(std::move(copy));
+    }
   } else {
     TRKX_INFO << "pipeline: training filter MLP (geometric graphs)";
     filter_->train(train_events);
@@ -141,13 +127,16 @@ void TrackingPipeline::load(std::istream& is) {
 PipelineOutput TrackingPipeline::reconstruct(const Event& event) const {
   TRKX_TRACE_SPAN("pipeline.reconstruct", "pipeline");
   metrics().counter("pipeline.reconstruct.events").add(1);
-  const Event prepared = prepare_event(event);
+  Event prepared = event;
+  std::vector<float> scores;
+  std::vector<FittedTrack> no_fits;
   PipelineOutput out;
-  const std::vector<float> scores = gnn_stage(prepared);
+  run_stages(prepared, 1.0f, std::nullopt,
+             [](Stage, const auto& body) { body(); }, scores, out.tracks,
+             no_fits);
   for (std::size_t e = 0; e < scores.size(); ++e)
     out.edge_metrics.add(scores[e] >= config_.track.edge_threshold,
                          prepared.edge_labels[e] != 0);
-  out.tracks = build_stage(prepared, scores);
   out.metrics = score_tracks(prepared, out.tracks, config_.track);
   return out;
 }

@@ -1,14 +1,33 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "pipeline/embedding.hpp"
 #include "pipeline/filter.hpp"
 #include "pipeline/gnn_train.hpp"
 #include "pipeline/graph_construction.hpp"
 #include "pipeline/track_building.hpp"
+#include "pipeline/track_fit.hpp"
+#include "util/annotations.hpp"
 
 namespace trkx {
+
+/// The five inference stages, in execution order.
+enum class Stage : int { kEmbed = 0, kFilter = 1, kGnn = 2, kBuild = 3,
+                         kFit = 4 };
+inline constexpr int kNumStages = 5;
+
+inline const char* stage_name(Stage s) {
+  switch (s) {
+    case Stage::kEmbed: return "embed";
+    case Stage::kFilter: return "filter";
+    case Stage::kGnn: return "gnn";
+    case Stage::kBuild: return "build";
+    case Stage::kFit: return "fit";
+  }
+  return "?";
+}
 
 /// Configuration of the full five-stage Exa.TrkX pipeline (Figure 1).
 struct PipelineConfig {
@@ -49,19 +68,30 @@ class TrackingPipeline {
   /// from scratch when use_learned_graphs is set).
   PipelineOutput reconstruct(const Event& event) const;
 
-  /// Stage-resolved inference API for the serving layer (src/serve): the
-  /// same computation as reconstruct(), split so a caller can check a
-  /// request deadline between stages and degrade stages individually.
-  /// embed_stage re-embeds the hits and rebuilds the FRNN candidate graph
-  /// in place (a no-op when use_learned_graphs is false); filter_stage
-  /// prunes with the configured cut times `threshold_scale` (> 1 = a
-  /// coarser cut keeping fewer edges); gnn_stage scores the surviving
-  /// edges; build_stage walks them into track candidates.
+  /// The one inference stage sequence, shared by reconstruct() and the
+  /// serving layer (src/serve): embed -> filter -> GNN -> build, then fit
+  /// when `fit_field_tesla` is set. `event` is rewritten in place (its
+  /// candidate graph is rebuilt and pruned); `scores` receives one GNN
+  /// score per surviving edge, `tracks` the candidates and `fits` their
+  /// helix fits. `threshold_scale` multiplies the filter cut (> 1 = a
+  /// coarser cut keeping fewer edges). Each stage runs as
+  /// `guard(stage, body)`; the guard must call `body` and may call it
+  /// again, since a rerun yields the same outputs (the filter is a
+  /// per-edge cut, so re-applying it keeps the same edges). Serving adds
+  /// its deadlines, timeouts and retries through the guard.
+  template <typename Guard>
+  TRKX_HOT void run_stages(Event& event, float threshold_scale,
+                           std::optional<double> fit_field_tesla,
+                           Guard&& guard, std::vector<float>& scores,
+                           std::vector<TrackCandidate>& tracks,
+                           std::vector<FittedTrack>& fits) const;
+
+  /// Stages 1 and 2 on their own: embed_stage re-embeds the hits and
+  /// rebuilds the FRNN candidate graph in place, filter_stage prunes it
+  /// with the configured cut times `threshold_scale` (both no-ops when
+  /// use_learned_graphs is false).
   void embed_stage(Event& event) const;
   std::size_t filter_stage(Event& event, float threshold_scale) const;
-  std::vector<float> gnn_stage(const Event& event) const;
-  std::vector<TrackCandidate> build_stage(
-      const Event& event, const std::vector<float>& scores) const;
 
   /// Stage access for examples and tests.
   EmbeddingModel& embedding() { return *embedding_; }
@@ -77,10 +107,6 @@ class TrackingPipeline {
   void load(std::istream& is);
 
  private:
-  /// Apply stages 1–3 to an event copy: re-embed, rebuild the FRNN graph,
-  /// filter edges. No-op when use_learned_graphs is false.
-  Event prepare_event(const Event& event) const;
-
   PipelineConfig config_;
   std::size_t node_dim_;
   std::size_t edge_dim_;
@@ -89,5 +115,33 @@ class TrackingPipeline {
   std::unique_ptr<FilterModel> filter_;
   std::unique_ptr<GnnModel> gnn_;
 };
+
+template <typename Guard>
+void TrackingPipeline::run_stages(Event& event, float threshold_scale,
+                                  std::optional<double> fit_field_tesla,
+                                  Guard&& guard, std::vector<float>& scores,
+                                  std::vector<TrackCandidate>& tracks,
+                                  std::vector<FittedTrack>& fits) const {
+  guard(Stage::kEmbed, [&] { embed_stage(event); });
+  guard(Stage::kFilter, [&] { filter_stage(event, threshold_scale); });
+  guard(Stage::kGnn, [&] {
+    scores.clear();
+    if (event.graph.num_edges() > 0)
+      scores = gnn_->gnn->predict(event.node_features, event.edge_features,
+                                  event.graph);
+  });
+  guard(Stage::kBuild,
+        [&] { tracks = build_tracks(event, scores, config_.track); });
+  if (!fit_field_tesla.has_value()) return;
+  guard(Stage::kFit, [&] {
+    fits.clear();
+    fits.reserve(tracks.size());
+    for (const TrackCandidate& track : tracks) {
+      const std::optional<FittedTrack> fit =
+          fit_track(event, track, *fit_field_tesla);
+      if (fit.has_value()) fits.push_back(*fit);
+    }
+  });
+}
 
 }  // namespace trkx

@@ -5,9 +5,7 @@
 #include <future>
 #include <utility>
 
-#include "detector/generator.hpp"
-#include "pipeline/track_building.hpp"
-#include "pipeline/track_fit.hpp"
+#include "pipeline/pipeline.hpp"
 #include "serve/error.hpp"
 
 namespace trkx::serve {
@@ -65,21 +63,10 @@ class Deadline {
   Clock::time_point at_{};
 };
 
-/// The five request-path stages, in execution order.
-enum class Stage : int { kEmbed = 0, kFilter = 1, kGnn = 2, kBuild = 3,
-                         kFit = 4 };
-inline constexpr int kNumStages = 5;
-
-inline const char* stage_name(Stage s) {
-  switch (s) {
-    case Stage::kEmbed: return "embed";
-    case Stage::kFilter: return "filter";
-    case Stage::kGnn: return "gnn";
-    case Stage::kBuild: return "build";
-    case Stage::kFit: return "fit";
-  }
-  return "?";
-}
+/// The request-path stages are the pipeline's (pipeline/pipeline.hpp).
+using trkx::kNumStages;
+using trkx::Stage;
+using trkx::stage_name;
 
 /// What one request produced: the reconstructed tracks plus enough
 /// telemetry (per-stage seconds, degradation flags, replica generation)

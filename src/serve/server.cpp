@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "pipeline/track_fit.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
@@ -233,32 +232,18 @@ ServeResult ServeServer::run_request(const ModelReplica& replica,
   ServeResult result;
   result.degrade_level = plan.level;
   result.replica_generation = replica.generation;
-  const TrackingPipeline& pipeline = *replica.pipeline;
+  result.fit_skipped = plan.skip_fit;
   Event event = std::move(request.event);
   std::vector<float> scores;
-  run_stage(Stage::kEmbed, request.deadline, result,
-            [&] { pipeline.embed_stage(event); });
-  run_stage(Stage::kFilter, request.deadline, result, [&] {
-    pipeline.filter_stage(event, plan.filter_threshold_scale);
-  });
-  run_stage(Stage::kGnn, request.deadline, result,
-            [&] { scores = pipeline.gnn_stage(event); });
-  run_stage(Stage::kBuild, request.deadline, result,
-            [&] { result.tracks = pipeline.build_stage(event, scores); });
-  if (plan.skip_fit) {
-    result.fit_skipped = true;
-    fit_skipped_->add(1);
-    return result;
-  }
-  run_stage(Stage::kFit, request.deadline, result, [&] {
-    result.fits.clear();  // attempts must be re-runnable
-    result.fits.reserve(result.tracks.size());
-    for (const TrackCandidate& track : result.tracks) {
-      const std::optional<FittedTrack> fit =
-          fit_track(event, track, config_.b_field_tesla);
-      if (fit.has_value()) result.fits.push_back(*fit);
-    }
-  });
+  replica.pipeline->run_stages(
+      event, plan.filter_threshold_scale,
+      plan.skip_fit ? std::nullopt
+                    : std::optional<double>(config_.b_field_tesla),
+      [&](Stage stage, const auto& body) {
+        run_stage(stage, request.deadline, result, body);
+      },
+      scores, result.tracks, result.fits);
+  if (plan.skip_fit) fit_skipped_->add(1);
   return result;
 }
 

@@ -99,15 +99,16 @@ class ServeServer {
   /// worker error surfaces at stop() instead of std::terminate.
   void worker_entry();
   void worker_loop();
-  /// The request path proper: five stages with an inter-stage deadline
-  /// check, per-stage timeout, and bounded retry. TRKX_HOT — its closure
-  /// must stay allocation- and blocking-free (enforced by trkx-analyze).
+  /// The request path proper: the pipeline's stage sequence
+  /// (TrackingPipeline::run_stages) with every stage wrapped in
+  /// run_stage. TRKX_HOT — its closure must stay allocation- and
+  /// blocking-free (enforced by trkx-analyze).
   TRKX_HOT ServeResult run_request(const ModelReplica& replica,
                                    const StagePlan& plan,
                                    Request& request) const;
-  /// One stage with retry/timeout accounting; `body` must be re-runnable
-  /// (the stage entry points recompute from scratch). Declared here,
-  /// instantiated only in server.cpp.
+  /// One stage with an inter-stage deadline check, retry/timeout
+  /// accounting and timing; `body` is re-runnable (run_stages' contract).
+  /// Declared here, instantiated only in server.cpp.
   template <typename Fn>
   void run_stage(Stage stage, const Deadline& deadline, ServeResult& result,
                  Fn&& body) const;

@@ -18,7 +18,7 @@
 // numerically invisible.
 
 #ifndef TRKX_KERNELS_NS
-// Standalone-header compilation (scripts/check_static.sh) only; real TUs
+// Standalone-header compilation (trkx-analyze --check-headers) only; real TUs
 // always define the macros first.
 #define TRKX_KERNELS_NS standalone_impl
 #define TRKX_KERNELS_AVX2 0

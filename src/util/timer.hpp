@@ -77,19 +77,4 @@ class PhaseTimers {
   std::map<std::string, double> buckets_ TRKX_GUARDED_BY(mutex_);
 };
 
-/// RAII helper: adds elapsed time into a PhaseTimers bucket on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimers& timers, std::string phase)
-      : timers_(timers), phase_(std::move(phase)) {}
-  ~ScopedPhase() { timers_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimers& timers_;
-  std::string phase_;
-  WallTimer timer_;
-};
-
 }  // namespace trkx

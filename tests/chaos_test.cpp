@@ -226,6 +226,48 @@ TEST_F(ChaosTest, ResumeRejectsCheckpointFromDifferentConfig) {
   EXPECT_THROW(train_shadow(m2, dataset_->train, dataset_->val, other,
                             SamplerKind::kMatrixBulk),
                CheckpointError);
+
+  // Full-graph training shares the loop and the checkpoint format but not
+  // the trajectory: the ShaDow checkpoint must be refused there too.
+  GnnTrainConfig full = cfg;
+  full.resume = true;
+  GnnModel m3(gnn_config(), 22);
+  EXPECT_THROW(train_full_graph(m3, dataset_->train, dataset_->val, full),
+               CheckpointError);
+}
+
+TEST_F(ChaosTest, FullGraphCrashResumeReproducesTrajectory) {
+  // Full-graph training runs in the shared epoch loop, so it has the
+  // train.epoch fault site and bit-identical checkpoint/resume too.
+  GnnTrainConfig cfg = train_config(3);
+  cfg.keep_best_weights = true;
+  GnnModel m_full(gnn_config(), 23);
+  const TrainResult r_full =
+      train_full_graph(m_full, dataset_->train, dataset_->val, cfg);
+  ASSERT_EQ(r_full.epochs.size(), 3u);
+
+  cfg.checkpoint_dir = (dir_ / "ckpt").string();
+  fault::Registry::global().arm_from_string("train.epoch:rank-kill:nth=2");
+  GnnModel m_int(gnn_config(), 23);
+  EXPECT_THROW(train_full_graph(m_int, dataset_->train, dataset_->val, cfg),
+               RankKilledError);
+  fault::Registry::global().clear();
+
+  cfg.resume = true;
+  GnnModel m_res(gnn_config(), 23);
+  const TrainResult r_res =
+      train_full_graph(m_res, dataset_->train, dataset_->val, cfg);
+  ASSERT_EQ(r_res.epochs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r_res.epochs[i].train_loss, r_full.epochs[i].train_loss)
+        << "epoch " << i;
+    EXPECT_EQ(r_res.epochs[i].val.true_positives,
+              r_full.epochs[i].val.true_positives) << "epoch " << i;
+    EXPECT_EQ(r_res.epochs[i].val.false_positives,
+              r_full.epochs[i].val.false_positives) << "epoch " << i;
+  }
+  EXPECT_EQ(r_res.selected_epoch, r_full.selected_epoch);
+  EXPECT_EQ(m_res.store.flatten_values(), m_full.store.flatten_values());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -331,6 +332,19 @@ TEST_F(CheckpointTest, FingerprintSeparatesRunConfigurations) {
             checkpoint_fingerprint(a, SamplerKind::kReference, 1));
   EXPECT_NE(checkpoint_fingerprint(a, SamplerKind::kMatrixBulk, 1),
             checkpoint_fingerprint(a, SamplerKind::kMatrixBulk, 2));
+  // Full graph (no sampler) differs from both ShaDow kinds and covers the
+  // memory limits that decide which events it trains on.
+  const std::uint64_t full = checkpoint_fingerprint(a, std::nullopt, 1);
+  EXPECT_NE(full, checkpoint_fingerprint(a, SamplerKind::kMatrixBulk, 1));
+  EXPECT_NE(full, checkpoint_fingerprint(a, SamplerKind::kReference, 1));
+  b = a;
+  b.max_edges = 1000;
+  EXPECT_NE(full, checkpoint_fingerprint(b, std::nullopt, 1));
+  EXPECT_EQ(checkpoint_fingerprint(a, SamplerKind::kMatrixBulk, 1),
+            checkpoint_fingerprint(b, SamplerKind::kMatrixBulk, 1));
+  b = a;
+  b.memory_budget_bytes = 1 << 20;
+  EXPECT_NE(full, checkpoint_fingerprint(b, std::nullopt, 1));
 }
 
 }  // namespace

@@ -172,26 +172,5 @@ TEST(EvaluationTest, TrainedModelAucAboveChance) {
   EXPECT_GT(roc_auc(score_events(model, events)), 0.75);
 }
 
-TEST(EvaluationTest, EvaluateTrackingOracleVsUntrained) {
-  DetectorConfig cfg;
-  cfg.mean_particles = 25.0;
-  Rng rng(9);
-  std::vector<Event> events{generate_event(cfg, rng)};
-  IgnnConfig gnn;
-  gnn.node_input_dim = cfg.node_feature_dim;
-  gnn.edge_input_dim = cfg.edge_feature_dim;
-  gnn.hidden_dim = 8;
-  gnn.num_layers = 1;
-  gnn.mlp_hidden = 0;
-  GnnModel model(gnn, 10);
-  TrackBuildConfig track;
-  const TrackingMetrics m = evaluate_tracking(model, events, track);
-  EXPECT_GT(m.reconstructable, 0u);
-  // Untrained model: efficiency is whatever it is, but the call must be
-  // internally consistent.
-  EXPECT_LE(m.matched, m.reconstructable);
-  EXPECT_LE(m.fake_candidates, m.candidates);
-}
-
 }  // namespace
 }  // namespace trkx

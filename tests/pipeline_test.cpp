@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "pipeline/pipeline.hpp"
@@ -320,6 +322,52 @@ TEST(GnnTrainTest, FullGraphSkipsOversizedGraphs) {
   EXPECT_EQ(result.epochs[0].train_loss, 0.0);
 }
 
+/// Constant rate that records every step the training loop asks it for.
+class CountingLr : public LrScheduler {
+ public:
+  explicit CountingLr(float lr) : lr_(lr) {}
+  float lr_at(std::size_t step) const override {
+    steps.push_back(step);
+    return lr_;
+  }
+  mutable std::vector<std::size_t> steps;
+
+ private:
+  float lr_;
+};
+
+TEST(GnnTrainTest, FullGraphStepsOncePerTrainableEventPerEpoch) {
+  // One empty, one edgeless, two normal and one oversized event: only the
+  // two normal events take a step, once each per epoch.
+  auto events = tiny_events(3, 50);
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.num_edges() < b.num_edges();
+  });
+  ASSERT_GT(events[2].num_edges(), events[1].num_edges());
+  Event edgeless = events[0];
+  edgeless.graph = Graph(edgeless.num_hits(), {});
+  edgeless.edge_labels.clear();
+  edgeless.edge_features = Matrix(0, events[0].edge_features.cols());
+  Event empty;
+  empty.node_features = Matrix(0, events[0].node_features.cols());
+  empty.edge_features = Matrix(0, events[0].edge_features.cols());
+  events.push_back(std::move(edgeless));
+  events.push_back(std::move(empty));
+  auto val = tiny_events(1, 51);
+
+  GnnTrainConfig cfg = fast_train_config();
+  cfg.epochs = 3;
+  cfg.max_edges = events[1].num_edges();  // only events[2] is oversized
+  auto counting = std::make_shared<CountingLr>(cfg.lr);
+  cfg.scheduler = counting;
+  GnnModel model(fast_gnn_config(events[0]), 99);
+  const TrainResult result = train_full_graph(model, events, val, cfg);
+  ASSERT_EQ(result.epochs.size(), 3u);
+  EXPECT_EQ(result.skipped_graphs, 1u);
+  EXPECT_EQ(counting->steps,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
 class ShadowTrainModes : public ::testing::TestWithParam<SamplerKind> {};
 
 TEST_P(ShadowTrainModes, LossDecreasesOverEpochs) {
@@ -604,6 +652,8 @@ TEST(PipelineTest, FitAndReconstructEndToEnd) {
   EXPECT_EQ(result.epochs.size(), 2u);
   PipelineOutput out = pipeline.reconstruct(val[0]);
   EXPECT_GT(out.metrics.reconstructable, 0u);
+  EXPECT_LE(out.metrics.matched, out.metrics.reconstructable);
+  EXPECT_LE(out.metrics.fake_candidates, out.metrics.candidates);
   EXPECT_GE(out.metrics.efficiency(), 0.0);
   EXPECT_GT(out.edge_metrics.total(), 0u);
 }

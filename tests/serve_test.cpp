@@ -6,6 +6,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "detector/generator.hpp"
 #include "nn/optimizer.hpp"
 #include "pipeline/checkpoint.hpp"
+#include "pipeline/track_fit.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
@@ -472,6 +474,126 @@ TEST_F(ServeTest, DegradationLadderShedsLowAndSkipsFit) {
   const serve::ServeCounters after = server.counters();
   EXPECT_GE(after.rejected_shed_low - before.rejected_shed_low, 1u);
   EXPECT_GE(after.fit_skipped - before.fit_skipped, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Oracles: the served request path runs TrackingPipeline::run_stages, the
+// same stage sequence as offline reconstruct().
+
+void expect_same_tracks(const std::vector<TrackCandidate>& served,
+                        const std::vector<TrackCandidate>& expected) {
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i)
+    EXPECT_EQ(served[i].hits, expected[i].hits) << "track " << i;
+}
+
+void expect_same_fits(const std::vector<FittedTrack>& served,
+                      const std::vector<FittedTrack>& expected) {
+  ASSERT_EQ(served.size(), expected.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].pt, expected[i].pt) << "fit " << i;
+    EXPECT_EQ(served[i].phi0, expected[i].phi0) << "fit " << i;
+    EXPECT_EQ(served[i].eta, expected[i].eta) << "fit " << i;
+    EXPECT_EQ(served[i].z0, expected[i].z0) << "fit " << i;
+    EXPECT_EQ(served[i].charge, expected[i].charge) << "fit " << i;
+    EXPECT_EQ(served[i].circle_chi2, expected[i].circle_chi2) << "fit " << i;
+    EXPECT_EQ(served[i].line_chi2, expected[i].line_chi2) << "fit " << i;
+  }
+}
+
+TEST_F(ServeTest, ServedRequestEqualsOfflineReconstruct) {
+  auto replicas = make_replicas();
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.b_field_tesla = 3.5;  // not the default: the server's field is used
+  serve::ServeServer server(*replicas, cfg);
+  server.start();
+  const TrackingPipeline& replica = *replicas->acquire()->pipeline;
+  std::size_t fitted = 0;
+  for (const Event& e : payloads_) {
+    const serve::ServeResult r =
+        server.submit(e, serve::Priority::kNormal).get();
+    ASSERT_EQ(r.degrade_level, 0);
+    ASSERT_FALSE(r.fit_skipped);
+    expect_same_tracks(r.tracks, replica.reconstruct(e).tracks);
+    std::vector<FittedTrack> expected;
+    for (const TrackCandidate& track : r.tracks) {
+      const std::optional<FittedTrack> fit =
+          fit_track(e, track, cfg.b_field_tesla);
+      if (fit.has_value()) expected.push_back(*fit);
+    }
+    expect_same_fits(r.fits, expected);
+    fitted += r.fits.size();
+  }
+  server.stop();
+  EXPECT_GT(fitted, 0u);  // the fit comparison compared something
+}
+
+TEST_F(ServeTest, SkipFitServesOfflineTracksWithoutFits) {
+  // Every occupancy reading escalates and the ladder tops out at
+  // skip-fit, so each request runs at level 2 with the configured filter
+  // cut: offline tracks, no fits.
+  auto replicas = make_replicas();
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.degrade.high = 0.0;
+  cfg.degrade.low = -1.0;
+  cfg.degrade.ewma_alpha = 1.0;
+  cfg.degrade.sustain = 1;
+  cfg.degrade.max_level = 2;
+  serve::ServeServer server(*replicas, cfg);
+  server.start();
+  const TrackingPipeline& replica = *replicas->acquire()->pipeline;
+  for (const Event& e : payloads_) {
+    const serve::ServeResult r =
+        server.submit(e, serve::Priority::kNormal).get();
+    ASSERT_EQ(r.degrade_level, 2);
+    EXPECT_TRUE(r.fit_skipped);
+    EXPECT_TRUE(r.fits.empty());
+    expect_same_tracks(r.tracks, replica.reconstruct(e).tracks);
+  }
+  server.stop();
+}
+
+TEST_F(ServeTest, HotReloadedReplicaServesColdReplicaResults) {
+  // A checkpoint of the serving GNN weights, swapped in through the
+  // reload path, must score and serve exactly what the cold-loaded
+  // replica did.
+  const fs::path dir = fresh_dir("reload_same");
+  const std::string path = write_ckpt(dir, 1);
+  auto replicas = make_replicas();
+  const std::shared_ptr<const serve::ModelReplica> cold_replica =
+      replicas->acquire();
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  serve::ServeServer server(*replicas, cfg);
+  server.start();
+  std::vector<serve::ServeResult> cold;
+  for (const Event& e : payloads_)
+    cold.push_back(server.submit(e, serve::Priority::kNormal).get());
+  ASSERT_TRUE(replicas->reload_from_checkpoint_file(path));
+  const std::shared_ptr<const serve::ModelReplica> hot_replica =
+      replicas->acquire();
+  for (std::size_t i = 0; i < payloads_.size(); ++i) {
+    const serve::ServeResult hot =
+        server.submit(payloads_[i], serve::Priority::kNormal).get();
+    EXPECT_EQ(cold[i].replica_generation, 1u);
+    EXPECT_EQ(hot.replica_generation, 2u);
+    expect_same_tracks(hot.tracks, cold[i].tracks);
+    expect_same_fits(hot.fits, cold[i].fits);
+    // Edge scores as well: tracks alone can hide a changed candidate
+    // graph on an event this small.
+    const BinaryMetrics h =
+        hot_replica->pipeline->reconstruct(payloads_[i]).edge_metrics;
+    const BinaryMetrics c =
+        cold_replica->pipeline->reconstruct(payloads_[i]).edge_metrics;
+    EXPECT_EQ(h.true_positives, c.true_positives);
+    EXPECT_EQ(h.false_positives, c.false_positives);
+    EXPECT_EQ(h.true_negatives, c.true_negatives);
+    EXPECT_EQ(h.false_negatives, c.false_negatives);
+  }
+  server.stop();
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Contended-path stress tests, labelled tsan-stress in CMake so the TSan
-// leg of the sanitizer matrix (scripts/check_static.sh --tsan) runs them
-// under -fsanitize=thread. Each test drives a shared-state component from
+// Contended-path stress tests, labelled tsan-stress in CMake so the
+// tsan-stress leg of scripts/ci_matrix.sh runs them under
+// -fsanitize=thread. Each test drives a shared-state component from
 // several threads at once: these are the schedules where a missing
 // happens-before edge in PrefetchQueue, the obs registry, or
 // the DDP gradient sync would surface as a TSan report.
