@@ -1,7 +1,8 @@
 // Kernel-layer roofline: per-kernel bandwidth (GB/s) and arithmetic
 // throughput (GFLOP/s) for the scalar and AVX2 dispatch tables, at the
-// fixed 8192×64 trajectory shape plus the GEMM shapes of one IGNN edge-MLP
-// layer (forward, dX, dW).
+// fixed 8192×64 trajectory shape plus the shapes of one IGNN edge-MLP
+// layer: its GEMMs (forward, dX, dW) and its E×32 activations (relu and
+// tanh, forward and backward; one tanh counts as one op).
 //
 //   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
 //
@@ -111,6 +112,15 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   const kernels::AdamStep step{1e-3f, 0.9f, 0.999f, 1e-8f, 0.0f, 1.111f,
                                1.001f};
 
+  // Edge-MLP activations: E×32 pre-activations, the tanh of them (the
+  // saved output tanh_bwd reads) and d_out above as the upstream gradient.
+  // Their own Rng leaves the data of the series above unchanged.
+  Rng act_rng(23);
+  const Matrix act_x = Matrix::random_normal(kEdges, kHidden, act_rng);
+  Matrix act_tanh(kEdges, kHidden), act_out(kEdges, kHidden);
+  kernels::scalar_table().tanh_fwd(act_x.data(), act_tanh.data(),
+                                   act_x.size());
+
   struct Case {
     const char* name;
     double bytes;
@@ -206,6 +216,26 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                      t.adam_update(w.data(), x.data(), m0.data(), v0.data(),
                                    kEwN, step);
                    }});
+  const double fA = fE * fH;
+  const std::size_t n_act = act_x.size();
+  cases.push_back({"relu_fwd_edge", 4.0 * fA * 2.0, fA,
+                   [&] { t.relu_fwd(act_x.data(), act_out.data(), n_act); },
+                   kEdges, kHidden});
+  cases.push_back({"relu_bwd_edge", 4.0 * fA * 3.0, fA,
+                   [&] {
+                     t.relu_bwd(d_out.data(), act_x.data(), act_out.data(),
+                                n_act);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"tanh_fwd_edge", 4.0 * fA * 2.0, fA,
+                   [&] { t.tanh_fwd(act_x.data(), act_out.data(), n_act); },
+                   kEdges, kHidden});
+  cases.push_back({"tanh_bwd_edge", 4.0 * fA * 3.0, 3.0 * fA,
+                   [&] {
+                     t.tanh_bwd(d_out.data(), act_tanh.data(), act_out.data(),
+                                n_act);
+                   },
+                   kEdges, kHidden});
 
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const Case& k = cases[c];

@@ -843,8 +843,13 @@ class Project:
     def resolve(self, ff, name, limit=4):
         """Candidate definitions for a call to `name` from inside `ff`.
         Same-class members win; otherwise all same-short-name functions
-        (capped) — a deliberate over-approximation."""
+        (capped) — a deliberate over-approximation. A ``std::``-qualified
+        name is the standard library's and resolves to nothing: falling
+        back to the short name would bind ``std::tanh`` to a project
+        ``Tape::tanh``."""
         name = name.strip()
+        if name.lstrip(":").startswith("std::"):
+            return []
         if "::" in name:
             short = name.rsplit("::", 1)[-1]
             cands = self.by_qual.get(name) or self.by_short.get(short, [])

@@ -16,8 +16,10 @@ reports:
                      ``wait_all`` are exempt: blocking on the worker
                      pool is synchronous compute, not a stall.
 
-std::vector growth, and with it every Matrix buffer, is exempt by the
-same policy that excludes bad_alloc from the throw model. Hot
+std::vector growth, and with it every Matrix buffer (a std::vector with
+a default-initialising allocator, so Matrix::uninit skips the
+zero-fill), is exempt by the same policy that excludes bad_alloc from
+the throw model. Hot
 propagation follows the PR-8 resolution discipline: plain calls
 propagate to every candidate, explicit-receiver method calls only when
 resolution is unambiguous.

@@ -35,7 +35,8 @@ GradcheckResult gradcheck(
           abs_err / std::max(1e-8f, std::fabs(numeric));
       result.max_abs_error = std::max(result.max_abs_error, abs_err);
       result.max_rel_error = std::max(result.max_rel_error, rel_err);
-      if (abs_err > atol + rtol * std::fabs(numeric)) result.passed = false;
+      // Written so a NaN error fails: every comparison with NaN is false.
+      if (!(abs_err <= atol + rtol * std::fabs(numeric))) result.passed = false;
     }
   }
   return result;

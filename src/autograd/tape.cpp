@@ -138,39 +138,56 @@ Var Tape::scale(Var a, float s) {
 }
 
 Var Tape::relu(Var a) {
-  Matrix out = apply(a.value(), [](float x) { return x > 0.0f ? x : 0.0f; });
+  const Matrix& x = a.value();
+  Matrix out = Matrix::uninit(x.rows(), x.cols());
+  kernels::active().relu_fwd(x.data(), out.data(), x.size());
   Tape* t = this;
   return emit(std::move(out), node(a).requires_grad, "relu", [t, a](Node& n) {
-    t->accumulate(a, apply2(n.grad, a.value(), [](float g, float x) {
-                    return x > 0.0f ? g : 0.0f;
-                  }));
+    const Matrix& x = a.value();
+    TRKX_CHECK(n.grad.same_shape(x));
+    Matrix g = Matrix::uninit(x.rows(), x.cols());
+    kernels::active().relu_bwd(n.grad.data(), x.data(), g.data(), x.size());
+    t->accumulate(a, std::move(g));
   });
 }
 
 Var Tape::tanh(Var a) {
-  Matrix out = apply(a.value(), [](float x) { return std::tanh(x); });
+  const Matrix& x = a.value();
+  Matrix out = Matrix::uninit(x.rows(), x.cols());
+  kernels::active().tanh_fwd(x.data(), out.data(), x.size());
   Tape* t = this;
   Var v = emit(std::move(out), node(a).requires_grad, "tanh", nullptr);
   // Backward reads the op's own output (y): d/dx tanh = 1 - y².
   node(v).backward = [t, a, v](Node& n) {
-    t->accumulate(a, apply2(n.grad, v.value(), [](float g, float y) {
-                    return g * (1.0f - y * y);
-                  }));
+    const Matrix& y = v.value();
+    TRKX_CHECK(n.grad.same_shape(y));
+    Matrix g = Matrix::uninit(y.rows(), y.cols());
+    kernels::active().tanh_bwd(n.grad.data(), y.data(), g.data(), y.size());
+    t->accumulate(a, std::move(g));
   };
   return v;
 }
 
 Var Tape::sigmoid(Var a) {
-  Matrix out = apply(a.value(), [](float x) {
-    return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                     : std::exp(x) / (1.0f + std::exp(x));
-  });
+  const Matrix& x = a.value();
+  Matrix out = Matrix::uninit(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float xi = x.data()[i];
+    out.data()[i] = xi >= 0.0f ? 1.0f / (1.0f + std::exp(-xi))
+                               : std::exp(xi) / (1.0f + std::exp(xi));
+  }
   Tape* t = this;
   Var v = emit(std::move(out), node(a).requires_grad, "sigmoid", nullptr);
   node(v).backward = [t, a, v](Node& n) {
-    t->accumulate(a, apply2(n.grad, v.value(), [](float g, float y) {
-                    return g * y * (1.0f - y);
-                  }));
+    const Matrix& y = v.value();
+    TRKX_CHECK(n.grad.same_shape(y));
+    Matrix g = Matrix::uninit(y.rows(), y.cols());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const float gi = n.grad.data()[i];
+      const float yi = y.data()[i];
+      g.data()[i] = gi * yi * (1.0f - yi);
+    }
+    t->accumulate(a, std::move(g));
   };
   return v;
 }
@@ -182,8 +199,8 @@ Var Tape::layer_norm(Var x, Var gamma, Var beta, float eps) {
   TRKX_CHECK(beta.value().rows() == 1 && beta.value().cols() == cols);
   // Save per-row inverse stddev and x_hat for the backward pass.
   auto inv_std = std::make_shared<std::vector<float>>(rows);
-  auto xhat = std::make_shared<Matrix>(rows, cols);
-  Matrix out(rows, cols);
+  auto xhat = std::make_shared<Matrix>(Matrix::uninit(rows, cols));
+  Matrix out = Matrix::uninit(rows, cols);
   kernels::active().layer_norm_fwd(xv.data(), gamma.value().data(),
                                    beta.value().data(), out.data(),
                                    xhat->data(), inv_std->data(), rows, cols,
@@ -201,12 +218,12 @@ Var Tape::layer_norm(Var x, Var gamma, Var beta, float eps) {
     }
     if (t->node(beta).requires_grad) t->accumulate(beta, colwise_sum(n.grad));
     if (t->node(x).requires_grad) {
-      Matrix dx(rows, cols);
+      Matrix dx = Matrix::uninit(rows, cols);
       // dx = (is/cols) * (cols*dy*g - sum(dy*g) - xhat * sum(dy*g*xhat))
       kernels::active().layer_norm_bwd_dx(n.grad.data(), gamma.value().data(),
                                           xhat->data(), inv_std->data(),
                                           dx.data(), rows, cols);
-      t->accumulate(x, dx);
+      t->accumulate(x, std::move(dx));
     }
   });
 }
@@ -242,7 +259,7 @@ Var Tape::slice_cols(Var a, std::size_t start, std::size_t len) {
     Matrix g(a.value().rows(), a.value().cols(), 0.0f);
     for (std::size_t i = 0; i < n.grad.rows(); ++i)
       for (std::size_t j = 0; j < len; ++j) g(i, start + j) = n.grad(i, j);
-    t->accumulate(a, g);
+    t->accumulate(a, std::move(g));
   });
 }
 
@@ -251,7 +268,7 @@ Var Tape::scale_rows(Var rows, Var scalars) {
   const Matrix& s = scalars.value();
   TRKX_CHECK_MSG(s.rows() == r.rows() && s.cols() == 1,
                  "scale_rows expects m x 1 scalars, got " << s.shape_str());
-  Matrix out(r.rows(), r.cols());
+  Matrix out = Matrix::uninit(r.rows(), r.cols());
   for (std::size_t i = 0; i < r.rows(); ++i) {
     const float w = s(i, 0);
     for (std::size_t j = 0; j < r.cols(); ++j) out(i, j) = r(i, j) * w;
@@ -262,23 +279,23 @@ Var Tape::scale_rows(Var rows, Var scalars) {
     const Matrix& r = rows.value();
     const Matrix& s = scalars.value();
     if (t->node(rows).requires_grad) {
-      Matrix gr(r.rows(), r.cols());
+      Matrix gr = Matrix::uninit(r.rows(), r.cols());
       for (std::size_t i = 0; i < r.rows(); ++i) {
         const float w = s(i, 0);
         for (std::size_t j = 0; j < r.cols(); ++j)
           gr(i, j) = n.grad(i, j) * w;
       }
-      t->accumulate(rows, gr);
+      t->accumulate(rows, std::move(gr));
     }
     if (t->node(scalars).requires_grad) {
-      Matrix gs(r.rows(), 1);
+      Matrix gs = Matrix::uninit(r.rows(), 1);
       for (std::size_t i = 0; i < r.rows(); ++i) {
         float acc = 0.0f;
         for (std::size_t j = 0; j < r.cols(); ++j)
           acc += n.grad(i, j) * r(i, j);
         gs(i, 0) = acc;
       }
-      t->accumulate(scalars, gs);
+      t->accumulate(scalars, std::move(gs));
     }
   });
 }
@@ -303,7 +320,7 @@ Var Tape::row_gather(Var x, std::vector<std::uint32_t> index) {
   return emit(std::move(out), node(x).requires_grad, "row_gather", [t, x, idx](Node& n) {
     Matrix g(x.value().rows(), x.value().cols(), 0.0f);
     row_scatter_add(g, *idx, n.grad);
-    t->accumulate(x, g);
+    t->accumulate(x, std::move(g));
   });
 }
 
@@ -357,7 +374,7 @@ Var Tape::bce_with_logits(Var logits, const std::vector<float>& labels,
               [t, logits, lbl, wts, pos_weight, total_weight](Node& n) {
     const Matrix& z = logits.value();
     const std::size_t m = z.rows();
-    Matrix g(m, 1);
+    Matrix g = Matrix::uninit(m, 1);
     TRKX_CHECK(total_weight > 0.0);  // captured from the checked forward
     const float gscale =
         n.grad(0, 0) / static_cast<float>(total_weight);
@@ -370,7 +387,7 @@ Var Tape::bce_with_logits(Var logits, const std::vector<float>& labels,
                                  : std::exp(zi) / (1.0f + std::exp(zi));
       g(i, 0) = gscale * cw * (s - y);
     }
-    t->accumulate(logits, g);
+    t->accumulate(logits, std::move(g));
   });
 }
 
@@ -415,7 +432,7 @@ Var Tape::contrastive_pair_loss(Var a, Var b,
     const std::size_t n = av.rows(), f = av.cols();
     TRKX_CHECK(n > 0);  // non-empty batch checked in the forward
     const float gscale = nd.grad(0, 0) / static_cast<float>(n);
-    Matrix ga(n, f, 0.0f);
+    Matrix ga = Matrix::uninit(n, f);
     for (std::size_t i = 0; i < n; ++i) {
       float coeff;  // d(loss_i)/d(d²) scaled into d(loss_i)/d(diff) = coeff*diff
       if ((*lbl)[i] > 0.5f) {
@@ -432,7 +449,7 @@ Var Tape::contrastive_pair_loss(Var a, Var b,
     if (t->node(a).requires_grad) t->accumulate(a, ga);
     if (t->node(b).requires_grad) {
       for (float& x : ga.flat()) x = -x;
-      t->accumulate(b, ga);
+      t->accumulate(b, std::move(ga));
     }
   });
 }
@@ -457,7 +474,7 @@ Var Tape::sum(Var a) {
   Tape* t = this;
   return emit(std::move(out), node(a).requires_grad, "sum", [t, a](Node& n) {
     Matrix g(a.value().rows(), a.value().cols(), n.grad(0, 0));
-    t->accumulate(a, g);
+    t->accumulate(a, std::move(g));
   });
 }
 

@@ -99,12 +99,24 @@ namespace {
 /// Tensors for one gradient step on a (sub)graph. `graph` points at a
 /// ShaDow subgraph in the PreparedUnit's samples (moving the unit keeps
 /// the vector's buffer) or, in full-graph mode, at the training event's
-/// own graph; null marks an empty rank shard.
+/// own graph; null marks an empty rank shard. A ShaDow step owns the
+/// feature rows it gathered; a full-graph step borrows the event's
+/// matrices through `event`, which the forward pass only reads. Nothing
+/// points into the struct itself, since it moves through the prefetch
+/// queue.
 struct StepData {
   const Graph* graph = nullptr;
-  Matrix node_features;
+  const Event* event = nullptr;  ///< full-graph mode: features borrowed
+  Matrix node_features;          ///< ShaDow mode: gathered rows
   Matrix edge_features;
   std::vector<float> labels;
+
+  const Matrix& nodes() const {
+    return event != nullptr ? event->node_features : node_features;
+  }
+  const Matrix& edges() const {
+    return event != nullptr ? event->edge_features : edge_features;
+  }
 };
 
 StepData gather_sample(const Event& event, const ShadowSample& sample) {
@@ -122,8 +134,7 @@ StepData gather_sample(const Event& event, const ShadowSample& sample) {
 StepData whole_event(const Event& event) {
   StepData d;
   d.graph = &event.graph;
-  d.node_features = event.node_features;
-  d.edge_features = event.edge_features;
+  d.event = &event;
   d.labels.assign(event.edge_labels.begin(), event.edge_labels.end());
   return d;
 }
@@ -139,8 +150,7 @@ double compute_gradients(GnnModel& model, Optimizer& opt, const StepData& data,
   Var loss;
   {
     TRKX_TRACE_SPAN("forward", "phase");
-    Var logits = model.gnn->forward(ctx, data.node_features,
-                                    data.edge_features, graph);
+    Var logits = model.gnn->forward(ctx, data.nodes(), data.edges(), graph);
     loss = ctx.tape().bce_with_logits(logits, data.labels, {}, pos_weight);
   }
   {

@@ -27,30 +27,34 @@ struct AdamStep {
 ///
 /// Numerics contract, enforced by tests/kernels_test.cpp:
 ///   - bit-identical across tables: row_gather, row_scatter_add (and so
-///     segment_sum), every ew_* kernel, colwise_sum, adam_update — these
-///     are elementwise or preserve the scalar accumulation order exactly,
-///     and the AVX2 build never FMA-contracts them;
+///     segment_sum), every ew_* kernel, relu_fwd, relu_bwd, tanh_bwd,
+///     colwise_sum, adam_update — these are elementwise or preserve the
+///     scalar accumulation order exactly, and the AVX2 build never
+///     FMA-contracts them;
 ///   - ULP-bounded: gemm, gemm_nt, gemm_tn — the AVX2 microkernel
 ///     accumulates each output in the scalar k order but rounds once per
 ///     FMA step (only the n == 1 dot-product paths reassociate) — and
 ///     spmm, rowwise_sum, layer_norm_fwd, layer_norm_bwd_dx (FMA and
-///     reassociated 8-lane reductions).
+///     reassociated 8-lane reductions), and tanh_fwd (std::tanh in the
+///     scalar table, a polynomial/exp approximation in the AVX2 one; both
+///     keep tanh(±0) = ±0, ±Inf → ±1 and NaN → NaN);
 ///   - The scalar GEMMs skip zero entries of A and the AVX2 GEMMs do not,
 ///     so 0 · Inf or 0 · NaN gives NaN in the AVX2 table and is masked
 ///     in the scalar one.
 ///
-/// GEMM/SpMM outputs marked "accumulating" must be zero-filled by the
-/// caller; the kernel adds into them.
+/// Outputs marked "overwritten" are written in full, so callers allocate
+/// them with Matrix::uninit; outputs marked "accumulating" must be
+/// zero-filled (or hold the running sum) — the kernel adds into them.
 struct KernelTable {
   const char* name;
 
-  /// c (m×n, accumulating) += a (m×k) · b (k×n).
+  /// c (m×n, overwritten) = a (m×k) · b (k×n).
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n);
   /// c (m×n, overwritten) = a (m×k) · b (n×k)ᵀ.
   void (*gemm_nt)(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n);
-  /// c (m×n, accumulating) += a (k×m)ᵀ · b (k×n).
+  /// c (m×n, overwritten) = a (k×m)ᵀ · b (k×n).
   void (*gemm_tn)(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n);
   /// y (rows×f, accumulating) += CSR(row_ptr, col_idx, val) · x (·×f).
@@ -74,6 +78,15 @@ struct KernelTable {
   void (*ew_add_inplace)(float* a, const float* b, std::size_t n);
   /// a += s * b (mul-then-add, never FMA: stays bit-identical to scalar).
   void (*ew_axpy)(float* a, float s, const float* b, std::size_t n);
+
+  /// Activations (all outputs overwritten). relu_fwd: y = x > 0 ? x : 0,
+  /// so NaN and -0 map to +0. relu_bwd: dx = x > 0 ? g : 0 from the
+  /// saved input x. tanh_fwd: y = tanh(x). tanh_bwd: dx = g * (1 - y*y)
+  /// from the saved output y (mul then sub, never FMA).
+  void (*relu_fwd)(const float* x, float* y, std::size_t n);
+  void (*relu_bwd)(const float* g, const float* x, float* dx, std::size_t n);
+  void (*tanh_fwd)(const float* x, float* y, std::size_t n);
+  void (*tanh_bwd)(const float* g, const float* y, float* dx, std::size_t n);
 
   /// o (1×cols, accumulating) += column sums of a (rows×cols), in row
   /// order — the exact accumulation order of the historical serial loop.

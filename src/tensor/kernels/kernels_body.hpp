@@ -58,6 +58,54 @@ inline float hsum8(__m256 v) {
   lo = _mm_add_ss(lo, sh);
   return _mm_cvtss_f32(lo);
 }
+
+/// e^x for x in [0, 88] (Cephes expf): x = n·ln2 + r with ln2 split in
+/// two so r is exact, e^r by a degree-7 polynomial, then the exponent
+/// bits of 2^n. The range keeps 2^n a normal float.
+inline __m256 exp8(__m256 x) {
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+}
+
+/// 8-lane tanhf (Cephes): with a = |x|, a + a·z·P(z) (z = a²) below
+/// a = 0.625, else 1 − 2/(e^{2a} + 1), then the sign of x restored. 2a is
+/// clamped to 88, where the result is already 1. Working on |x| keeps
+/// tanh(−0) = −0; NaN lanes pass through unchanged.
+inline __m256 tanh8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 p = _mm256_set1_ps(-5.70498872745e-3f);
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(2.06390887954e-2f));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(-5.37397155531e-2f));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(1.33314422036e-1f));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(-3.33332819422e-1f));
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), a, a);
+  const __m256 e =
+      exp8(_mm256_min_ps(_mm256_add_ps(a, a), _mm256_set1_ps(88.0f)));
+  const __m256 large = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+  const __m256 is_small =
+      _mm256_cmp_ps(a, _mm256_set1_ps(0.625f), _CMP_LT_OQ);
+  const __m256 r = _mm256_or_ps(_mm256_blendv_ps(large, small, is_small),
+                                _mm256_and_ps(x, sign));
+  return _mm256_blendv_ps(r, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
 #endif
 
 // ---------------------------------------------------------------------
@@ -273,6 +321,76 @@ inline void vsubmul(const float* a, float m, float s, float* o,
 #endif
 }
 
+/// y = x > 0 ? x : 0 (exact: maxps returns its second operand, +0, for
+/// NaN and ±0 inputs, as the scalar compare does).
+inline void vrelu(const float* x, float* y, std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm256_storeu_ps(y + j, _mm256_max_ps(_mm256_loadu_ps(x + j), zero));
+  }
+  for (; j < n; ++j) y[j] = x[j] > 0.0f ? x[j] : 0.0f;
+#else
+  for (std::size_t j = 0; j < n; ++j) y[j] = x[j] > 0.0f ? x[j] : 0.0f;
+#endif
+}
+
+/// dx = x > 0 ? g : 0 (exact: an ordered compare masks g).
+inline void vrelu_bwd(const float* g, const float* x, float* dx,
+                      std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 pos =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j), zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(dx + j, _mm256_and_ps(pos, _mm256_loadu_ps(g + j)));
+  }
+  for (; j < n; ++j) dx[j] = x[j] > 0.0f ? g[j] : 0.0f;
+#else
+  for (std::size_t j = 0; j < n; ++j) dx[j] = x[j] > 0.0f ? g[j] : 0.0f;
+#endif
+}
+
+/// y = tanh(x): std::tanh in the scalar build, tanh8 in the AVX2 one. The
+/// tail goes through tanh8 as well, so an element's result does not
+/// depend on its position.
+inline void vtanh(const float* x, float* y, std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm256_storeu_ps(y + j, tanh8(_mm256_loadu_ps(x + j)));
+  }
+  if (j < n) {
+    float buf[8] = {};
+    std::memcpy(buf, x + j, (n - j) * sizeof(float));
+    _mm256_storeu_ps(buf, tanh8(_mm256_loadu_ps(buf)));
+    std::memcpy(y + j, buf, (n - j) * sizeof(float));
+  }
+#else
+  for (std::size_t j = 0; j < n; ++j) y[j] = std::tanh(x[j]);
+#endif
+}
+
+/// dx = g * (1 - y*y) (exact: mul, sub, mul — no FMA).
+inline void vtanh_bwd(const float* g, const float* y, float* dx,
+                      std::size_t n) {
+#if TRKX_KERNELS_AVX2
+  const __m256 one = _mm256_set1_ps(1.0f);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 yv = _mm256_loadu_ps(y + j);
+    _mm256_storeu_ps(dx + j,
+                     _mm256_mul_ps(_mm256_loadu_ps(g + j),
+                                   _mm256_sub_ps(one, _mm256_mul_ps(yv, yv))));
+  }
+  for (; j < n; ++j) dx[j] = g[j] * (1.0f - y[j] * y[j]);
+#else
+  for (std::size_t j = 0; j < n; ++j) dx[j] = g[j] * (1.0f - y[j] * y[j]);
+#endif
+}
+
 /// One layer-norm backward row: dx = is * (dy*g - inv_cols*sum(dy*g)
 /// - xhat * inv_cols * sum(dy*g*xhat)), matching the historical scalar
 /// expression's association exactly in the tails.
@@ -448,22 +566,27 @@ inline void gemm_tile_rows(std::size_t rows, const float* a, std::size_t rs,
   kTiles[rows](a, rs, ks, b, ldb, c, ldc, kc, load_c);
 }
 
-/// C (m×n) = (overwrite ? 0 : C) + A·B with A(i, p) = a[i*rs + p*ks] and
-/// B k×n row-major, or n×k (B is given transposed) when b_t. Every thread
-/// walks the same k-blocks and 16-column panels; a transposed panel is
-/// packed into the thread's own stack buffer. Column tails (n mod 16) go
-/// through mac_row.
+/// C (m×n, overwritten) = A·B with A(i, p) = a[i*rs + p*ks] and B k×n
+/// row-major, or n×k (B is given transposed) when b_t. The first k-block
+/// starts its tiles from zero, later ones load C. Every thread walks the
+/// same k-blocks and 16-column panels; a transposed panel is packed into
+/// the thread's own stack buffer. Column tails (n mod 16) go through
+/// mac_row.
 inline void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
                          const float* b, bool b_t, float* c, std::size_t m,
-                         std::size_t k, std::size_t n, bool overwrite) {
+                         std::size_t k, std::size_t n) {
+  if (k == 0) {  // no k-block runs to overwrite C
+    std::fill(c, c + m * n, 0.0f);
+    return;
+  }
   const std::size_t tiles = (m + kMr - 1) / kMr;
   float panel[kKc * kNr];  // private: each thread packs its own Bᵀ panels
 #pragma omp parallel default(none) shared(a, b, c) private(panel) \
-    firstprivate(rs, ks, b_t, m, k, n, overwrite, tiles)
+    firstprivate(rs, ks, b_t, m, k, n, tiles)
   {
     for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
       const std::size_t kc = std::min(std::size_t{kKc}, k - k0);
-      const bool load_c = !overwrite || k0 > 0;
+      const bool load_c = k0 > 0;
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(std::size_t{kNr}, n - j0);
         if (b_t) {
@@ -502,11 +625,10 @@ inline void gemm(const float* a, const float* b, float* c, std::size_t m,
   if (n == 1) {  // matrix · vector (the classifier head): a dot per row
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k)
-    for (std::size_t i = 0; i < m; ++i) c[i] += dot_row(a + i * k, b, k);
+    for (std::size_t i = 0; i < m; ++i) c[i] = dot_row(a + i * k, b, k);
     return;
   }
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n,
-               /*overwrite=*/false);
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n);
 }
 
 inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
@@ -517,12 +639,7 @@ inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
     for (std::size_t i = 0; i < m; ++i) c[i] = dot_row(a + i * k, b, k);
     return;
   }
-  if (k == 0) {  // no k-block runs to overwrite C
-    std::fill(c, c + m * n, 0.0f);
-    return;
-  }
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n,
-               /*overwrite=*/true);
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n);
 }
 
 inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
@@ -532,13 +649,13 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
     firstprivate(m, k)
     for (std::size_t i0 = 0; i0 < m; i0 += kEwBlock) {
       const std::size_t len = std::min(std::size_t{kEwBlock}, m - i0);
+      std::fill(c + i0, c + i0 + len, 0.0f);
       for (std::size_t p = 0; p < k; ++p)
         mac_row(c + i0, a + p * m + i0, b[p], len);
     }
     return;
   }
-  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n,
-               /*overwrite=*/false);
+  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n);
 }
 
 #else  // scalar reference: the historical loop nests
@@ -548,10 +665,12 @@ constexpr std::size_t kTile = 64;
 
 inline void gemm(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) {
-  // i-k-j order with k-tiling and zero-skip, as the historical matmul.
+  // i-k-j order with k-tiling and zero-skip, as the historical matmul,
+  // which accumulated into a zero-filled C.
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, n)
   for (std::size_t i = 0; i < m; ++i) {
+    std::fill(c + i * n, c + i * n + n, 0.0f);
     for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
       const std::size_t k1 = std::min(k0 + kTile, k);
       for (std::size_t kk = k0; kk < k1; ++kk) {
@@ -579,6 +698,7 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, n)
   for (std::size_t i = 0; i < m; ++i) {
+    std::fill(c + i * n, c + i * n + n, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float aki = a[kk * m + i];
       if (aki == 0.0f) continue;
@@ -669,6 +789,42 @@ inline void ew_axpy(float* a, float s, const float* b, std::size_t n) {
   }
 }
 
+inline void relu_fwd(const float* x, float* y, std::size_t n) {
+#pragma omp parallel for schedule(static) default(none) shared(x, y) \
+    firstprivate(n)
+  for (std::size_t i0 = 0; i0 < n; i0 += kEwBlock) {
+    vrelu(x + i0, y + i0, std::min(std::size_t{kEwBlock}, n - i0));
+  }
+}
+
+inline void relu_bwd(const float* g, const float* x, float* dx,
+                     std::size_t n) {
+#pragma omp parallel for schedule(static) default(none) shared(g, x, dx) \
+    firstprivate(n)
+  for (std::size_t i0 = 0; i0 < n; i0 += kEwBlock) {
+    vrelu_bwd(g + i0, x + i0, dx + i0,
+              std::min(std::size_t{kEwBlock}, n - i0));
+  }
+}
+
+inline void tanh_fwd(const float* x, float* y, std::size_t n) {
+#pragma omp parallel for schedule(static) default(none) shared(x, y) \
+    firstprivate(n)
+  for (std::size_t i0 = 0; i0 < n; i0 += kEwBlock) {
+    vtanh(x + i0, y + i0, std::min(std::size_t{kEwBlock}, n - i0));
+  }
+}
+
+inline void tanh_bwd(const float* g, const float* y, float* dx,
+                     std::size_t n) {
+#pragma omp parallel for schedule(static) default(none) shared(g, y, dx) \
+    firstprivate(n)
+  for (std::size_t i0 = 0; i0 < n; i0 += kEwBlock) {
+    vtanh_bwd(g + i0, y + i0, dx + i0,
+              std::min(std::size_t{kEwBlock}, n - i0));
+  }
+}
+
 inline void colwise_sum(const float* a, float* o, std::size_t rows,
                         std::size_t cols) {
   // Serial in row order, vectorized across columns: per-column
@@ -741,10 +897,11 @@ inline void adam_update(float* w, const float* g, float* m, float* v,
 /// This ISA's table (one static instance per TU).
 inline const KernelTable& table() {
   static const KernelTable t{
-      TRKX_KERNELS_NAME, &gemm,    &gemm_nt,        &gemm_tn,
+      TRKX_KERNELS_NAME, &gemm,     &gemm_nt,     &gemm_tn,
       &spmm,             &row_gather, &row_scatter_add,
-      &ew_add,           &ew_sub,  &ew_mul,         &ew_scale,
-      &ew_add_inplace,   &ew_axpy, &colwise_sum,    &rowwise_sum,
+      &ew_add,           &ew_sub,   &ew_mul,      &ew_scale,
+      &ew_add_inplace,   &ew_axpy,  &relu_fwd,    &relu_bwd,
+      &tanh_fwd,         &tanh_bwd, &colwise_sum, &rowwise_sum,
       &layer_norm_fwd,   &layer_norm_bwd_dx, &adam_update,
   };
   return t;

@@ -24,14 +24,14 @@ Matrix Matrix::identity(std::size_t n) {
 
 Matrix Matrix::random_uniform(std::size_t rows, std::size_t cols, Rng& rng,
                               float lo, float hi) {
-  Matrix m(rows, cols);
+  Matrix m = uninit(rows, cols);
   for (float& x : m.data_) x = rng.uniform(lo, hi);
   return m;
 }
 
 Matrix Matrix::random_normal(std::size_t rows, std::size_t cols, Rng& rng,
                              float mean, float stddev) {
-  Matrix m(rows, cols);
+  Matrix m = uninit(rows, cols);
   for (float& x : m.data_) x = static_cast<float>(rng.normal(mean, stddev));
   return m;
 }

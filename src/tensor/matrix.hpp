@@ -1,10 +1,14 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -23,10 +27,44 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  // Copies are one memcpy: the default-init allocator would otherwise
+  // make the vector copy element by element.
+  Matrix(const Matrix& other)
+      : rows_(other.rows_), cols_(other.cols_), data_(other.data_.size()) {
+    copy_from(other);
+  }
+  Matrix& operator=(const Matrix& other) {
+    if (this != &other) {
+      rows_ = other.rows_;
+      cols_ = other.cols_;
+      data_.clear();  // a growing resize then copies nothing over
+      data_.resize(other.data_.size());
+      copy_from(other);
+    }
+    return *this;
+  }
+  Matrix(Matrix&&) noexcept = default;
+  Matrix& operator=(Matrix&&) noexcept = default;
 
   /// Construct from nested initializer list: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<float>> rows);
 
+  /// A rows×cols matrix whose elements are left unwritten. Only for an
+  /// output its producer overwrites in full (a kernel marked
+  /// "overwritten", a copy, a gather); anything accumulated into takes
+  /// the zero-filling constructor. ASan builds fill it with quiet NaN, so
+  /// an element a producer forgets to write fails the bit-identity,
+  /// oracle and TRKX_CHECK_NUMERICS tests of that CI leg.
+  static Matrix uninit(std::size_t rows, std::size_t cols) {
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(rows * cols);
+#if defined(__SANITIZE_ADDRESS__)
+    m.fill(std::nanf(""));
+#endif
+    return m;
+  }
   static Matrix zeros(std::size_t rows, std::size_t cols) {
     return Matrix(rows, cols, 0.0f);
   }
@@ -98,9 +136,37 @@ class Matrix {
   }
 
  private:
+  /// std::allocator that default-initialises: a vector grown without a
+  /// fill value leaves its floats unwritten instead of zeroing them.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  void copy_from(const Matrix& other) {
+    if (!data_.empty())
+      std::memcpy(data_.data(), other.data_.data(),
+                  data_.size() * sizeof(float));
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace trkx

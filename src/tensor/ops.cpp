@@ -12,7 +12,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch "
                                            << a.shape_str() << " x "
                                            << b.shape_str());
-  Matrix c(a.rows(), b.cols(), 0.0f);
+  Matrix c = Matrix::uninit(a.rows(), b.cols());
   kernels::active().gemm(a.data(), b.data(), c.data(), a.rows(), a.cols(),
                          b.cols());
   return c;
@@ -22,7 +22,7 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.cols() == b.cols(), "matmul_nt shape mismatch "
                                            << a.shape_str() << " x "
                                            << b.shape_str() << "^T");
-  Matrix c(a.rows(), b.rows(), 0.0f);
+  Matrix c = Matrix::uninit(a.rows(), b.rows());
   kernels::active().gemm_nt(a.data(), b.data(), c.data(), a.rows(), a.cols(),
                             b.rows());
   return c;
@@ -32,14 +32,14 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.rows() == b.rows(), "matmul_tn shape mismatch "
                                            << a.shape_str() << "^T x "
                                            << b.shape_str());
-  Matrix c(a.cols(), b.cols(), 0.0f);
+  Matrix c = Matrix::uninit(a.cols(), b.cols());
   kernels::active().gemm_tn(a.data(), b.data(), c.data(), a.cols(), a.rows(),
                             b.cols());
   return c;
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = Matrix::uninit(a.cols(), a.rows());
   const std::size_t r = a.rows(), c = a.cols();
 #pragma omp parallel for schedule(static) default(none) shared(out, a) \
     firstprivate(r, c)
@@ -52,7 +52,7 @@ Matrix add(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.same_shape(b), "add shape mismatch " << a.shape_str()
                                                         << " vs "
                                                         << b.shape_str());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
   kernels::active().ew_add(a.data(), b.data(), out.data(), a.size());
   return out;
 }
@@ -61,7 +61,7 @@ Matrix sub(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.same_shape(b), "sub shape mismatch " << a.shape_str()
                                                         << " vs "
                                                         << b.shape_str());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
   kernels::active().ew_sub(a.data(), b.data(), out.data(), a.size());
   return out;
 }
@@ -70,13 +70,13 @@ Matrix hadamard(const Matrix& a, const Matrix& b) {
   TRKX_CHECK_MSG(a.same_shape(b), "hadamard shape mismatch "
                                       << a.shape_str() << " vs "
                                       << b.shape_str());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
   kernels::active().ew_mul(a.data(), b.data(), out.data(), a.size());
   return out;
 }
 
 Matrix scale(const Matrix& a, float s) {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
   kernels::active().ew_scale(a.data(), s, out.data(), a.size());
   return out;
 }
@@ -95,7 +95,7 @@ Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {
   TRKX_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
                  "broadcast shape mismatch " << a.shape_str() << " + "
                                              << row.shape_str());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
   const float* pr = row.data();
   const std::size_t r = a.rows(), c = a.cols();
 #pragma omp parallel for schedule(static) default(none) shared(a, out, pr) \
@@ -115,7 +115,7 @@ Matrix colwise_sum(const Matrix& a) {
 }
 
 Matrix rowwise_sum(const Matrix& a) {
-  Matrix out(a.rows(), 1, 0.0f);
+  Matrix out = Matrix::uninit(a.rows(), 1);
   kernels::active().rowwise_sum(a.data(), out.data(), a.rows(), a.cols());
   return out;
 }
@@ -128,7 +128,7 @@ Matrix concat_cols(const std::vector<const Matrix*>& blocks) {
     TRKX_CHECK_MSG(b->rows() == rows, "concat_cols row mismatch");
     total_cols += b->cols();
   }
-  Matrix out(rows, total_cols);
+  Matrix out = Matrix::uninit(rows, total_cols);
 #pragma omp parallel for schedule(static) default(none) shared(out, blocks) \
     firstprivate(rows, total_cols)
   for (std::size_t i = 0; i < rows; ++i) {
@@ -151,7 +151,7 @@ Matrix concat_rows(const std::vector<const Matrix*>& blocks) {
     TRKX_CHECK_MSG(b->cols() == cols, "concat_rows col mismatch");
     total_rows += b->rows();
   }
-  Matrix out(total_rows, cols);
+  Matrix out = Matrix::uninit(total_rows, cols);
   std::size_t off = 0;
   for (const Matrix* b : blocks) {
     std::memcpy(out.data() + off * cols, b->data(),
@@ -163,7 +163,7 @@ Matrix concat_rows(const std::vector<const Matrix*>& blocks) {
 
 Matrix slice_cols(const Matrix& a, std::size_t start, std::size_t len) {
   TRKX_CHECK(start + len <= a.cols());
-  Matrix out(a.rows(), len);
+  Matrix out = Matrix::uninit(a.rows(), len);
   const std::size_t r = a.rows(), c = a.cols();
 #pragma omp parallel for schedule(static) default(none) shared(out, a) \
     firstprivate(r, c, start, len)
@@ -176,7 +176,7 @@ Matrix slice_cols(const Matrix& a, std::size_t start, std::size_t len) {
 
 Matrix slice_rows(const Matrix& a, std::size_t start, std::size_t len) {
   TRKX_CHECK(start + len <= a.rows());
-  Matrix out(len, a.cols());
+  Matrix out = Matrix::uninit(len, a.cols());
   std::memcpy(out.data(), a.data() + start * a.cols(),
               len * a.cols() * sizeof(float));
   return out;
@@ -189,7 +189,7 @@ Matrix row_gather(const Matrix& x, const std::vector<std::uint32_t>& index) {
     TRKX_CHECK_MSG(idx < x.rows(),
                    "row_gather index " << idx << " out of range " << x.rows());
   }
-  Matrix out(index.size(), x.cols());
+  Matrix out = Matrix::uninit(index.size(), x.cols());
   kernels::active().row_gather(x.data(), index.data(), out.data(),
                                index.size(), x.cols());
   return out;

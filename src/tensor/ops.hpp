@@ -10,8 +10,9 @@ namespace trkx {
 /// Dense kernels used by the autograd layer and the GNN.
 ///
 /// All kernels validate shapes with TRKX_CHECK and parallelise the outer
-/// loop with OpenMP. They allocate their outputs; in-place variants are
-/// provided where backpropagation needs accumulation.
+/// loop with OpenMP. They allocate their outputs (Matrix::uninit when the
+/// kernel writes every element, zero-filled when it accumulates); in-place
+/// variants are provided where backpropagation needs accumulation.
 
 /// C = A · B
 Matrix matmul(const Matrix& a, const Matrix& b);
@@ -57,43 +58,13 @@ void row_scatter_add(Matrix& dst, const std::vector<std::uint32_t>& index,
 Matrix segment_sum(const Matrix& y, const std::vector<std::uint32_t>& index,
                    std::size_t num_segments);
 
-/// max |a - b| over all elements; shapes must match.
 /// True iff every element is finite (no NaN or ±Inf). Used by the
 /// TRKX_CHECK_NUMERICS debug mode in the tape and gradient sync.
 bool all_finite(const Matrix& a);
 
+/// max |a - b| over all elements; shapes must match.
 float max_abs_diff(const Matrix& a, const Matrix& b);
 bool allclose(const Matrix& a, const Matrix& b, float atol = 1e-5f,
               float rtol = 1e-4f);
-
-/// Elementwise map (out[i] = fn(a[i])).
-template <typename Fn>
-Matrix apply(const Matrix& a, Fn&& fn) {
-  Matrix out(a.rows(), a.cols());
-  const float* src = a.data();
-  float* dst = out.data();
-  const std::size_t n = a.size();
-#pragma omp parallel for schedule(static) default(none) \
-    shared(dst, src, fn) firstprivate(n)
-  for (std::size_t i = 0; i < n; ++i) dst[i] = fn(src[i]);
-  return out;
-}
-
-/// Elementwise binary map (out[i] = fn(a[i], b[i])); shapes must match.
-template <typename Fn>
-Matrix apply2(const Matrix& a, const Matrix& b, Fn&& fn) {
-  TRKX_CHECK_MSG(a.same_shape(b), "apply2 shape mismatch " << a.shape_str()
-                                                           << " vs "
-                                                           << b.shape_str());
-  Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* dst = out.data();
-  const std::size_t n = a.size();
-#pragma omp parallel for schedule(static) default(none) \
-    shared(dst, pa, pb, fn) firstprivate(n)
-  for (std::size_t i = 0; i < n; ++i) dst[i] = fn(pa[i], pb[i]);
-  return out;
-}
 
 }  // namespace trkx

@@ -126,6 +126,16 @@ TEST(Gradcheck, LinearFused) {
   EXPECT_TRUE(result.passed) << "max abs err " << result.max_abs_error;
 }
 
+TEST(Gradcheck, NanGradientFails) {
+  const auto result = gradcheck(
+      [](const std::vector<Matrix>& in, std::vector<Matrix>* grads) {
+        if (grads) grads->push_back(Matrix(1, 2, std::nanf("")));
+        return in[0].sum();
+      },
+      {Matrix{{1.0f, 2.0f}}});
+  EXPECT_FALSE(result.passed);
+}
+
 TEST(Gradcheck, Relu) {
   // Shift away from 0 to avoid the kink.
   Rng rng(3);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +35,18 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, float lo = -2.0f,
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// `v` with every fourth element replaced by one of NaN, ±0, ±Inf or a
+/// ± subnormal, so the activation kernels' edge cases land in the vector
+/// lanes and in the scalar tails.
+std::vector<float> with_specials(std::vector<float> v) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min() * 37.0f;
+  const float specials[] = {std::nanf(""), 0.0f, -0.0f, inf, -inf, sub, -sub};
+  for (std::size_t i = 0; i < v.size(); i += 4)
+    v[i] = specials[(i / 4) % std::size(specials)];
+  return v;
 }
 
 /// Relative-error check for the reassociated (ULP-bounded) kernels: the
@@ -121,6 +136,105 @@ TEST(KernelEquivalence, ElementwiseBitIdentical) {
     sc.ew_axpy(i1.data(), -1.29f, b.data(), n);
     vx.ew_axpy(i2.data(), -1.29f, b.data(), n);
     EXPECT_TRUE(bitwise_equal(i1, i2)) << "ew_axpy n=" << n;
+
+    // The activation kernels also see NaN, ±0, ±Inf and subnormals.
+    const auto x = with_specials(a);
+    const auto g = with_specials(b);
+    sc.relu_fwd(x.data(), o1.data(), n);
+    vx.relu_fwd(x.data(), o2.data(), n);
+    EXPECT_TRUE(bitwise_equal(o1, o2)) << "relu_fwd n=" << n;
+
+    sc.relu_bwd(g.data(), x.data(), o1.data(), n);
+    vx.relu_bwd(g.data(), x.data(), o2.data(), n);
+    EXPECT_TRUE(bitwise_equal(o1, o2)) << "relu_bwd n=" << n;
+
+    sc.tanh_bwd(g.data(), x.data(), o1.data(), n);
+    vx.tanh_bwd(g.data(), x.data(), o2.data(), n);
+    EXPECT_TRUE(bitwise_equal(o1, o2)) << "tanh_bwd n=" << n;
+  }
+}
+
+/// Distance between two floats in units in the last place, through the
+/// order-preserving map of their bit patterns (±0 are both 0).
+std::int64_t ulp_distance(float a, float b) {
+  const auto key = [](float f) {
+    const auto u = std::bit_cast<std::uint32_t>(f);
+    const auto mag = static_cast<std::int64_t>(u & 0x7fffffffu);
+    return (u >> 31) != 0 ? -mag : mag;
+  };
+  const std::int64_t d = key(a) - key(b);
+  return d < 0 ? -d : d;
+}
+
+bool is_negative_zero(float f) { return f == 0.0f && std::signbit(f); }
+
+TEST(KernelEquivalence, TanhUlpBounded) {
+  SKIP_WITHOUT_AVX2();
+  const kernels::KernelTable& sc = kernels::scalar_table();
+  const kernels::KernelTable& vx = kernels::avx2_table();
+  // Against the scalar table's std::tanh; the AVX2 kernel measured at
+  // most 2 ULP over this sweep.
+  constexpr std::int64_t kMaxUlp = 2;
+
+  // Every 97th finite float magnitude, with both signs: ~44 M points,
+  // evaluated a block at a time.
+  constexpr std::uint32_t kStride = 97;
+  constexpr std::uint32_t kMaxFinite = 0x7f7fffffu;
+  std::vector<float> x(1u << 16), y1(x.size()), y2(x.size());
+  std::int64_t worst = 0;
+  float worst_x = 0.0f;
+  std::size_t points = 0;
+  for (std::uint64_t bits = 0; bits <= kMaxFinite;) {
+    std::size_t n = 0;
+    for (; n + 2 <= x.size() && bits <= kMaxFinite; bits += kStride) {
+      const float f = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+      x[n++] = f;
+      x[n++] = -f;
+    }
+    sc.tanh_fwd(x.data(), y1.data(), n);
+    vx.tanh_fwd(x.data(), y2.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t d = ulp_distance(y1[i], y2[i]);
+      if (d > worst) {
+        worst = d;
+        worst_x = x[i];
+      }
+      ASSERT_LE(std::fabs(y2[i]), 1.0f) << "tanh(" << x[i] << ")";
+      ASSERT_EQ(std::signbit(y2[i]), std::signbit(x[i])) << x[i];
+    }
+    points += n;
+  }
+  EXPECT_GT(points, 44000000u);
+  EXPECT_LE(worst, kMaxUlp) << "worst at x = " << worst_x;
+
+  // Exact cases: the sign of zero, the limits at ±Inf, NaN through.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> edge = {0.0f, -0.0f, inf, -inf, std::nanf(""),
+                                   -std::nanf("")};
+  std::vector<float> out(edge.size());
+  vx.tanh_fwd(edge.data(), out.data(), edge.size());
+  EXPECT_TRUE(out[0] == 0.0f && !std::signbit(out[0]));
+  EXPECT_TRUE(is_negative_zero(out[1]));
+  EXPECT_EQ(out[2], 1.0f);
+  EXPECT_EQ(out[3], -1.0f);
+  EXPECT_TRUE(std::isnan(out[4]));
+  EXPECT_TRUE(std::isnan(out[5]));
+
+  // Lengths 0–17 run every tail path: each element matches the same
+  // input's result in a full-width call, and nothing past n is written.
+  Rng rng(43);
+  const auto in = random_vec(17, rng, -4.0f, 4.0f);
+  std::vector<float> full(17);
+  vx.tanh_fwd(in.data(), full.data(), in.size());
+  for (std::size_t n = 0; n <= 17; ++n) {
+    std::vector<float> part(n + 8, 7.0f);
+    vx.tanh_fwd(in.data(), part.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(part[i], full[i]) << "n=" << n << " i=" << i;
+      EXPECT_LE(ulp_distance(part[i], std::tanh(in[i])), kMaxUlp);
+    }
+    for (std::size_t i = n; i < part.size(); ++i)
+      EXPECT_EQ(part[i], 7.0f) << "wrote past n=" << n;
   }
 }
 
@@ -186,30 +300,30 @@ TEST(KernelEquivalence, AdamUpdateBitIdentical) {
 
 // ---------- ULP-bounded kernels ----------
 
-/// One m×k·k×n shape through all three GEMMs of both tables. gemm and
-/// gemm_tn accumulate, so C starts at random values; gemm_nt overwrites,
-/// so C starts at NaN and any output it fails to write shows up.
+/// One m×k·k×n shape through all three GEMMs of both tables. All three
+/// overwrite C, so C starts at NaN and any output a kernel fails to
+/// write shows up.
 void expect_gemm_family_close(std::size_t m, std::size_t k, std::size_t n,
                               Rng& rng) {
   const kernels::KernelTable& sc = kernels::scalar_table();
   const kernels::KernelTable& vx = kernels::avx2_table();
   const auto a = random_vec(m * k, rng);
   const auto b = random_vec(k * n, rng);
-  const auto c0 = random_vec(m * n, rng);
-  auto c1 = c0, c2 = c0;
+  const std::vector<float> nan_c(m * n, std::nanf(""));
+  auto c1 = nan_c, c2 = nan_c;
   sc.gemm(a.data(), b.data(), c1.data(), m, k, n);
   vx.gemm(a.data(), b.data(), c2.data(), m, k, n);
   SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
   expect_close(c1, c2, k, "gemm");
 
   const auto bt = random_vec(n * k, rng);
-  std::vector<float> d1(m * n, std::nanf("")), d2(m * n, std::nanf(""));
+  auto d1 = nan_c, d2 = nan_c;
   sc.gemm_nt(a.data(), bt.data(), d1.data(), m, k, n);
   vx.gemm_nt(a.data(), bt.data(), d2.data(), m, k, n);
   expect_close(d1, d2, k, "gemm_nt");
 
   const auto at = random_vec(k * m, rng);
-  auto e1 = c0, e2 = c0;
+  auto e1 = nan_c, e2 = nan_c;
   sc.gemm_tn(at.data(), b.data(), e1.data(), m, k, n);
   vx.gemm_tn(at.data(), b.data(), e2.data(), m, k, n);
   expect_close(e1, e2, k, "gemm_tn");
@@ -220,7 +334,7 @@ TEST(KernelEquivalence, GemmFamilyClose) {
   Rng rng(19);
   // Every edge of the 6×16 register tile (m mod 6, n mod 16, the n = 1
   // paths) and of the 256-deep k-block, on both sides of each edge; k = 0
-  // must still overwrite gemm_nt's C with zeros.
+  // must still overwrite every GEMM's C with zeros.
   for (std::size_t m : {1u, 5u, 6u, 7u, 13u})
     for (std::size_t n : {1u, 15u, 16u, 17u, 32u, 33u, 192u})
       for (std::size_t k : {0u, 1u, 8u, 14u, 32u, 192u, 257u})

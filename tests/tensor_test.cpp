@@ -97,6 +97,40 @@ TEST(MatrixTest, RowSpan) {
   EXPECT_EQ(m(1, 1), 9.0f);
 }
 
+TEST(MatrixTest, UninitHasShapeAndCopiesByValue) {
+  Matrix m = Matrix::uninit(3, 4);
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  EXPECT_EQ(m.size(), 12u);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    m.data()[i] = static_cast<float>(i);
+  const Matrix copy = m;
+  EXPECT_EQ(copy, m);
+  EXPECT_NE(copy.data(), m.data());
+  Matrix smaller(1, 2, 7.0f), larger(9, 9, 7.0f);
+  smaller = m;
+  larger = m;
+  EXPECT_EQ(smaller, m);
+  EXPECT_EQ(larger, m);
+  const Matrix* self = &larger;
+  larger = *self;
+  EXPECT_EQ(larger, m);
+  EXPECT_TRUE(Matrix::uninit(0, 5).empty());
+  EXPECT_EQ(Matrix(2, 3), Matrix::zeros(2, 3));  // the sized ctor still zeroes
+}
+
+// ASan builds (the CI asan-ubsan leg) fill uninit buffers with quiet NaN,
+// so an element a producer forgets to write poisons every check
+// downstream of it.
+TEST(MatrixTest, UninitIsNanFilledUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  const Matrix m = Matrix::uninit(5, 7);
+  for (float v : m.flat()) EXPECT_TRUE(std::isnan(v));
+#else
+  GTEST_SKIP() << "the NaN fill is compiled into ASan builds only";
+#endif
+}
+
 // ---------- matmul family (parameterized over shapes) ----------
 
 class MatmulShapes
@@ -170,13 +204,6 @@ TEST(OpsTest, RowBroadcastAndColSum) {
   EXPECT_EQ(add_row_broadcast(a, row), (Matrix{{11, 22}, {13, 24}}));
   EXPECT_EQ(colwise_sum(a), (Matrix{{4, 6}}));
   EXPECT_EQ(rowwise_sum(a), (Matrix{{3}, {7}}));
-}
-
-TEST(OpsTest, ApplyAndApply2) {
-  Matrix a{{-1, 2}};
-  EXPECT_EQ(apply(a, [](float x) { return x * x; }), (Matrix{{1, 4}}));
-  EXPECT_EQ(apply2(a, a, [](float x, float y) { return x + y; }),
-            (Matrix{{-2, 4}}));
 }
 
 // ---------- concat / slice ----------
