@@ -1,8 +1,10 @@
 // Kernel-layer roofline: per-kernel bandwidth (GB/s) and arithmetic
 // throughput (GFLOP/s) for the scalar and AVX2 dispatch tables, at the
 // fixed 8192×64 trajectory shape plus the shapes of one IGNN edge-MLP
-// layer: its GEMMs (forward, dX, dW) and its E×32 activations (relu and
-// tanh, forward and backward; one tanh counts as one op).
+// layer: its GEMMs (forward, dX, dW) over the concatenated E×6h input, the
+// same layer split by W's row blocks (the E-row and V-row products, the
+// gather-add and its segment_sum gradient), and its E×32 activations
+// (relu and tanh, forward and backward; one tanh counts as one op).
 //
 //   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
 //
@@ -69,10 +71,15 @@ constexpr std::size_t kEwN = kRows * kCols;
 /// The IGNN shapes the training workloads run (hidden 32): the edge MLP's
 /// first layer maps the 6h = 192-wide message input of kEdges sampled
 /// edges to 32 features. Its backward runs dX through gemm_nt and the
-/// weight gradient dW as a gemm_tn reduction over the edges.
+/// weight gradient dW as a gemm_tn reduction over the edges. Split by W's
+/// row blocks, the same layer is [Y Y⁰]·W₁₂ over the E edge rows plus
+/// [X X⁰]·W₃₄ and [X X⁰]·W₅₆ over kVerts = E/2.5 vertex rows (the ShaDow
+/// subgraphs' measured E/V), gathered into the edge rows after the GEMM;
+/// each h-wide block is its own GEMM, accumulating into one output.
 constexpr std::size_t kEdges = 6451;
 constexpr std::size_t kMsgIn = 192;
 constexpr std::size_t kHidden = 32;
+constexpr std::size_t kVerts = 2580;
 
 void run_isa(const kernels::KernelTable& t, int reps, int inner,
              std::vector<Workload>& loads, BenchJsonWriter& json,
@@ -121,6 +128,20 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   kernels::scalar_table().tanh_fwd(act_x.data(), act_tanh.data(),
                                    act_x.size());
 
+  // The split edge-MLP layer: h-wide blocks Y, Y⁰ (E rows), X, X⁰ (V
+  // rows), W's 32×32 row blocks, the V×32 node-side product P and the
+  // edge endpoints. Own Rng, so the series above keep their data.
+  Rng split_rng(29);
+  const Matrix y_blk = Matrix::random_normal(kEdges, kHidden, split_rng);
+  const Matrix y0_blk = Matrix::random_normal(kEdges, kHidden, split_rng);
+  const Matrix x_blk = Matrix::random_normal(kVerts, kHidden, split_rng);
+  const Matrix x0_blk = Matrix::random_normal(kVerts, kHidden, split_rng);
+  const Matrix w_blk = Matrix::random_normal(kHidden, kHidden, split_rng);
+  Matrix node_p(kVerts, kHidden), node_q(kVerts, kHidden);
+  std::vector<std::uint32_t> endpoint(kEdges);
+  for (std::uint32_t& v : endpoint)
+    v = static_cast<std::uint32_t>(split_rng.uniform_index(kVerts));
+
   struct Case {
     const char* name;
     double bytes;
@@ -145,18 +166,18 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   cases.push_back({"gemm", gemm_bytes(fR, fK, fC), gemm_flops(fR, fK, fC), [&] {
                      std::memset(out.data(), 0, kEwN * sizeof(float));
                      t.gemm(a.data(), b.data(), out.data(), kRows, kInner,
-                            kCols);
+                            kCols, /*accumulate=*/false);
                    }});
   cases.push_back({"gemm_nt", gemm_bytes(fR, fK, fC), gemm_flops(fR, fK, fC),
                    [&] {
                      t.gemm_nt(a.data(), bt.data(), out.data(), kRows, kInner,
-                               kCols);
+                               kCols, /*accumulate=*/false);
                    }});
   cases.push_back({"gemm_tn", gemm_bytes(fK, fR, fC), gemm_flops(fK, fR, fC),
                    [&] {
                      out_tn.fill(0.0f);
                      t.gemm_tn(a.data(), x.data(), out_tn.data(), kInner, kRows,
-                               kCols);
+                               kCols, /*accumulate=*/false);
                    },
                    kInner, kCols});
   cases.push_back({"gemm_edge_mlp", gemm_bytes(fE, fM, fH),
@@ -164,14 +185,14 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    [&] {
                      edge_out.fill(0.0f);
                      t.gemm(msg.data(), w_msg.data(), edge_out.data(), kEdges,
-                            kMsgIn, kHidden);
+                            kMsgIn, kHidden, /*accumulate=*/false);
                    },
                    kEdges, kHidden});
   cases.push_back({"gemm_nt_edge_dx", gemm_bytes(fE, fH, fM),
                    gemm_flops(fE, fH, fM),
                    [&] {
                      t.gemm_nt(d_out.data(), w_msg.data(), edge_dx.data(),
-                               kEdges, kHidden, kMsgIn);
+                               kEdges, kHidden, kMsgIn, /*accumulate=*/false);
                    },
                    kEdges, kMsgIn});
   cases.push_back({"gemm_tn_edge_dw", gemm_bytes(fM, fE, fH),
@@ -179,9 +200,48 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    [&] {
                      edge_dw.fill(0.0f);
                      t.gemm_tn(msg.data(), d_out.data(), edge_dw.data(), kMsgIn,
-                               kEdges, kHidden);
+                               kEdges, kHidden, /*accumulate=*/false);
                    },
                    kMsgIn, kHidden});
+  // One split edge-MLP layer: E×64·64×32 as two accumulating E×32·32×32
+  // GEMMs, two V×64·64×32 as four V-row GEMMs, the E×32 gather-add of a
+  // node-side product and its backward, the segment_sum of dOut to V rows.
+  const double fV = static_cast<double>(kVerts);
+  cases.push_back({"gemm_split_edge", 2.0 * gemm_bytes(fE, fH, fH),
+                   2.0 * gemm_flops(fE, fH, fH),
+                   [&] {
+                     t.gemm(y_blk.data(), w_blk.data(), edge_out.data(),
+                            kEdges, kHidden, kHidden, /*accumulate=*/true);
+                     t.gemm(y0_blk.data(), w_blk.data(), edge_out.data(),
+                            kEdges, kHidden, kHidden, /*accumulate=*/true);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"gemm_split_node", 4.0 * gemm_bytes(fV, fH, fH),
+                   4.0 * gemm_flops(fV, fH, fH),
+                   [&] {
+                     for (Matrix* p : {&node_p, &node_q}) {
+                       t.gemm(x_blk.data(), w_blk.data(), p->data(), kVerts,
+                              kHidden, kHidden, /*accumulate=*/false);
+                       t.gemm(x0_blk.data(), w_blk.data(), p->data(), kVerts,
+                              kHidden, kHidden, /*accumulate=*/true);
+                     }
+                   },
+                   kVerts, kHidden});
+  cases.push_back({"gather_add_edge", 4.0 * fE * fH * 3.0 + 4.0 * fE, fE * fH,
+                   [&] {
+                     t.row_gather(node_p.data(), endpoint.data(),
+                                  edge_out.data(), kEdges, kHidden,
+                                  /*accumulate=*/true);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"segment_sum_edge",
+                   4.0 * (fE * fH + 2.0 * fV * fH) + 4.0 * fE, fE * fH,
+                   [&] {
+                     node_q.fill(0.0f);
+                     t.row_scatter_add(node_q.data(), endpoint.data(),
+                                       d_out.data(), kEdges, kHidden);
+                   },
+                   kVerts, kHidden});
   cases.push_back({"spmm", 4.0 * (nnz * 2.0 + fR * fC * 2.0 + nnz * fC),
                    2.0 * nnz * fC, [&] {
                      std::memset(out.data(), 0, kEwN * sizeof(float));
@@ -191,7 +251,7 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    }});
   cases.push_back({"row_gather", 4.0 * (fN * 2.0) + 4.0 * fR, 0.0, [&] {
                      t.row_gather(x.data(), idx.data(), out.data(), kRows,
-                                  kCols);
+                                  kCols, /*accumulate=*/false);
                    }});
   cases.push_back({"ew_add", 4.0 * fN * 3.0, fN, [&] {
                      t.ew_add(x.data(), y.data(), out.data(), kEwN);

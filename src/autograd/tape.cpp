@@ -80,21 +80,112 @@ Var Tape::matmul(Var a, Var b) {
   });
 }
 
-Var Tape::linear(Var x, Var w, Var bias) {
-  TRKX_CHECK(bias.value().rows() == 1 &&
-             bias.value().cols() == w.value().cols());
-  Matrix out = add_row_broadcast(trkx::matmul(x.value(), w.value()),
-                                 bias.value());
-  const bool rg = node(x).requires_grad || node(w).requires_grad ||
-                  node(bias).requires_grad;
+Var Tape::linear(const std::vector<LinearTerm>& terms, Var w, Var bias) {
+  TRKX_CHECK(!terms.empty() && !terms.front().inputs.empty());
+  const Matrix& wv = w.value();
+  const std::size_t out_cols = wv.cols();
+  TRKX_CHECK(bias.value().rows() == 1 && bias.value().cols() == out_cols);
+  const LinearTerm& first = terms.front();
+  const std::size_t rows =
+      first.index != nullptr ? first.index->size() : first.inputs[0].rows();
+  std::size_t in_cols = 0;
+  bool rg = node(w).requires_grad || node(bias).requires_grad;
+  for (const LinearTerm& term : terms) {
+    TRKX_CHECK_MSG(!term.inputs.empty(), "linear term without inputs");
+    const std::size_t term_rows = term.inputs[0].rows();
+    for (Var v : term.inputs) {
+      TRKX_CHECK_MSG(v.rows() == term_rows, "linear term block has "
+                                                << v.rows() << " rows, not "
+                                                << term_rows);
+      in_cols += v.cols();
+      rg = rg || node(v).requires_grad;
+    }
+    if (term.index == nullptr) {
+      TRKX_CHECK_MSG(term_rows == rows, "linear term has " << term_rows
+                                                           << " rows, not "
+                                                           << rows);
+      continue;
+    }
+    TRKX_CHECK(term.index->size() == rows);
+    // Validate before dispatching: exceptions may not cross the kernel's
+    // internal OpenMP boundary.
+    for (std::uint32_t i : *term.index) {
+      TRKX_CHECK_MSG(i < term_rows, "linear term index "
+                                        << i << " out of range " << term_rows);
+    }
+  }
+  TRKX_CHECK_MSG(in_cols == wv.rows(), "linear input width "
+                                           << in_cols << " vs weight "
+                                           << wv.shape_str());
+
+  const kernels::KernelTable& k = kernels::active();
+  Matrix out = Matrix::uninit(rows, out_cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::memcpy(out.data() + i * out_cols, bias.value().data(),
+                out_cols * sizeof(float));
+  }
+  std::size_t w_off = 0;  // first element of the current row block of w
+  for (const LinearTerm& term : terms) {
+    if (term.index == nullptr) {
+      for (Var v : term.inputs) {
+        k.gemm(v.value().data(), wv.data() + w_off, out.data(), rows,
+               v.cols(), out_cols, /*accumulate=*/true);
+        w_off += v.cols() * out_cols;
+      }
+      continue;
+    }
+    // P = Σ input·W_block on the inputs' own rows, then out += P[index].
+    const std::size_t term_rows = term.inputs[0].rows();
+    Matrix p = Matrix::uninit(term_rows, out_cols);
+    bool acc = false;
+    for (Var v : term.inputs) {
+      k.gemm(v.value().data(), wv.data() + w_off, p.data(), term_rows,
+             v.cols(), out_cols, acc);
+      acc = true;
+      w_off += v.cols() * out_cols;
+    }
+    k.row_gather(p.data(), term.index->data(), out.data(), rows, out_cols,
+                 /*accumulate=*/true);
+  }
+
   Tape* t = this;
-  return emit(std::move(out), rg, "linear", [t, x, w, bias](Node& n) {
-    if (t->node(x).requires_grad)
-      t->accumulate(x, matmul_nt(n.grad, w.value()));
-    if (t->node(w).requires_grad)
-      t->accumulate(w, matmul_tn(x.value(), n.grad));
+  return emit(std::move(out), rg, "linear", [t, terms, w, bias](Node& n) {
+    const kernels::KernelTable& k = kernels::active();
+    const Matrix& wv = w.value();
+    const std::size_t out_cols = wv.cols();
+    const bool w_rg = t->node(w).requires_grad;
+    Matrix dw = w_rg ? Matrix::uninit(wv.rows(), out_cols) : Matrix{};
+    std::size_t w_off = 0;
+    for (const LinearTerm& term : terms) {
+      // dP: the output gradient on the term's own rows.
+      Matrix reduced;
+      if (term.index != nullptr) {
+        reduced =
+            trkx::segment_sum(n.grad, *term.index, term.inputs[0].rows());
+      }
+      const Matrix& dp = term.index != nullptr ? reduced : n.grad;
+      for (Var v : term.inputs) {
+        const std::size_t cols = v.cols();
+        if (w_rg) {  // dW_block = inputᵀ·dP: every row block written once
+          k.gemm_tn(v.value().data(), dp.data(), dw.data() + w_off, cols,
+                    dp.rows(), out_cols, /*accumulate=*/false);
+        }
+        if (t->node(v).requires_grad) {  // dInput = dP·W_blockᵀ
+          Matrix dx = Matrix::uninit(dp.rows(), cols);
+          k.gemm_nt(dp.data(), wv.data() + w_off, dx.data(), dp.rows(),
+                    out_cols, cols, /*accumulate=*/false);
+          t->accumulate(v, std::move(dx));
+        }
+        w_off += cols * out_cols;
+      }
+    }
+    if (w_rg) t->accumulate(w, std::move(dw));
     if (t->node(bias).requires_grad) t->accumulate(bias, colwise_sum(n.grad));
   });
+}
+
+Var Tape::linear(Var x, Var w, Var bias) {
+  return linear({LinearTerm{{x}, nullptr}}, w, bias);
 }
 
 Var Tape::add(Var a, Var b) {
@@ -314,7 +405,6 @@ Var Tape::spmm(const CsrMatrix& a, Var x) {
 Var Tape::row_gather(Var x, std::vector<std::uint32_t> index) {
   Matrix out = trkx::row_gather(x.value(), index);
   Tape* t = this;
-  // Pooling shared closure state is ROADMAP work.
   // NOLINT(trkx-hot-alloc): backward-closure index buffer outlives the frame
   auto idx = std::make_shared<std::vector<std::uint32_t>>(std::move(index));
   return emit(std::move(out), node(x).requires_grad, "row_gather", [t, x, idx](Node& n) {

@@ -33,6 +33,18 @@ class Var {
   std::size_t index_ = 0;
 };
 
+/// One term of a linear layer's input (Tape::linear). The column blocks
+/// `inputs` are read as their concatenation [inputs[0] inputs[1] ...],
+/// which is never built: each block multiplies its own contiguous row
+/// block of W. With an `index`, the term's product P is formed on the
+/// inputs' own rows and gathered after the GEMM, so output row i adds
+/// P[index[i]]. The caller keeps `*index` alive for the tape's lifetime
+/// (backward reads it), as Tape::spmm's caller keeps its CSR.
+struct LinearTerm {
+  std::vector<Var> inputs;
+  const std::vector<std::uint32_t>* index = nullptr;
+};
+
 /// Reverse-mode automatic differentiation tape.
 ///
 /// Records every op during the forward pass; backward() replays the tape in
@@ -40,8 +52,9 @@ class Var {
 /// contains no gradient-requiring leaf skip gradient work entirely.
 ///
 /// The op set is exactly what the Exa.TrkX pipeline needs: dense linear
-/// algebra for the MLPs plus the two graph primitives (row_gather for
-/// MSG indexing, segment_sum for AGG) from Algorithm 1 of the paper.
+/// algebra for the MLPs plus the two graph primitives from Algorithm 1 of
+/// the paper: MSG indexing (a gather, inside an indexed LinearTerm for
+/// the IGNN and as row_gather for the GCN) and segment_sum for AGG.
 class Tape {
  public:
   Tape() = default;
@@ -54,7 +67,14 @@ class Tape {
 
   // ---- dense ops ----
   Var matmul(Var a, Var b);
-  /// x·w + broadcast bias (bias is 1×out). Fused: one node, one backward.
+  /// Σ_t gather_t([inputs_t]·W_t) + broadcast bias, where W_t are the
+  /// consecutive row blocks of w (in×out, in = the terms' total width) in
+  /// term and block order, and bias is 1×out. Fused: one node, one
+  /// backward. The output starts as the bias and every product
+  /// accumulates into it; backward reduces an indexed term's gradient to
+  /// its inputs' rows (segment_sum) before its dW and dX GEMMs.
+  Var linear(const std::vector<LinearTerm>& terms, Var w, Var bias);
+  /// x·w + broadcast bias: the one-term linear.
   Var linear(Var x, Var w, Var bias);
   Var add(Var a, Var b);
   Var sub(Var a, Var b);

@@ -4,14 +4,16 @@
 
 namespace trkx {
 
-InteractionGnn::InteractionGnn(ParameterStore& store, const IgnnConfig& config,
-                               Rng& rng)
-    : config_(config) {
-  TRKX_CHECK(config.node_input_dim > 0);
-  TRKX_CHECK(config.edge_input_dim > 0);
-  TRKX_CHECK(config.hidden_dim > 0);
-  const std::size_t h = config.hidden_dim;
+namespace {
 
+/// The shapes of every MLP in the model, shared by the constructor and
+/// ignn_activation_estimate.
+struct IgnnMlps {
+  MlpConfig node_enc, edge_enc, edge, node, gate, classifier;
+};
+
+IgnnMlps ignn_mlps(const IgnnConfig& config) {
+  const std::size_t h = config.hidden_dim;
   MlpConfig enc;
   enc.hidden_dim = h;
   enc.output_dim = h;
@@ -20,43 +22,52 @@ InteractionGnn::InteractionGnn(ParameterStore& store, const IgnnConfig& config,
   enc.output_activation = Activation::kTanh;
   enc.layer_norm = config.layer_norm;
 
-  MlpConfig node_enc = enc;
-  node_enc.input_dim = config.node_input_dim;
-  node_encoder_ = std::make_unique<Mlp>(store, "ignn.node_enc", node_enc, rng);
-  MlpConfig edge_enc = enc;
-  edge_enc.input_dim = config.edge_input_dim;
-  edge_encoder_ = std::make_unique<Mlp>(store, "ignn.edge_enc", edge_enc, rng);
+  IgnnMlps m{enc, enc, enc, enc, {}, enc};
+  m.node_enc.input_dim = config.node_input_dim;
+  m.edge_enc.input_dim = config.edge_input_dim;
+  m.edge.input_dim = 6 * h;  // [Y′(2h)  X′[src](2h)  X′[dst](2h)]
+  m.node.input_dim = 4 * h;  // [M_src(h)  M_dst(h)  X′(2h)]
+  m.gate.input_dim = h;
+  m.gate.hidden_dim = h;
+  m.gate.output_dim = 1;
+  m.gate.num_hidden = 0;  // a single linear gate keeps attention cheap
+  m.gate.output_activation = Activation::kSigmoid;
+  m.classifier.input_dim = h;
+  m.classifier.output_dim = 1;
+  m.classifier.output_activation = Activation::kNone;
+  m.classifier.layer_norm = false;
+  return m;
+}
+
+}  // namespace
+
+InteractionGnn::InteractionGnn(ParameterStore& store, const IgnnConfig& config,
+                               Rng& rng)
+    : config_(config) {
+  TRKX_CHECK(config.node_input_dim > 0);
+  TRKX_CHECK(config.edge_input_dim > 0);
+  TRKX_CHECK(config.hidden_dim > 0);
+  const IgnnMlps mlps = ignn_mlps(config);
+  node_encoder_ =
+      std::make_unique<Mlp>(store, "ignn.node_enc", mlps.node_enc, rng);
+  edge_encoder_ =
+      std::make_unique<Mlp>(store, "ignn.edge_enc", mlps.edge_enc, rng);
 
   // Per-layer MSG and node-update MLPs (distinct per layer, as Algorithm 1
   // notes; one shared pair when shared_weights is set).
   const std::size_t unique_layers = config.shared_weights ? 1 : config.num_layers;
-  MlpConfig edge_cfg = enc;
-  edge_cfg.input_dim = 6 * h;  // [Y′(2h)  X′[src](2h)  X′[dst](2h)]
-  MlpConfig node_cfg = enc;
-  node_cfg.input_dim = 4 * h;  // [M_src(h)  M_dst(h)  X′(2h)]
-  MlpConfig gate_cfg;
-  gate_cfg.input_dim = h;
-  gate_cfg.hidden_dim = h;
-  gate_cfg.output_dim = 1;
-  gate_cfg.num_hidden = 0;  // a single linear gate keeps attention cheap
-  gate_cfg.output_activation = Activation::kSigmoid;
   for (std::size_t l = 0; l < unique_layers; ++l) {
     edge_mlps_.push_back(std::make_unique<Mlp>(
-        store, "ignn.edge_mlp" + std::to_string(l), edge_cfg, rng));
+        store, "ignn.edge_mlp" + std::to_string(l), mlps.edge, rng));
     node_mlps_.push_back(std::make_unique<Mlp>(
-        store, "ignn.node_mlp" + std::to_string(l), node_cfg, rng));
+        store, "ignn.node_mlp" + std::to_string(l), mlps.node, rng));
     if (config.attention) {
       gate_mlps_.push_back(std::make_unique<Mlp>(
-          store, "ignn.gate_mlp" + std::to_string(l), gate_cfg, rng));
+          store, "ignn.gate_mlp" + std::to_string(l), mlps.gate, rng));
     }
   }
-
-  MlpConfig cls = enc;
-  cls.input_dim = h;
-  cls.output_dim = 1;
-  cls.output_activation = Activation::kNone;
-  cls.layer_norm = false;
-  edge_classifier_ = std::make_unique<Mlp>(store, "ignn.classifier", cls, rng);
+  edge_classifier_ =
+      std::make_unique<Mlp>(store, "ignn.classifier", mlps.classifier, rng);
 }
 
 const Mlp& InteractionGnn::edge_mlp(std::size_t layer) const {
@@ -87,13 +98,11 @@ Var InteractionGnn::forward(TapeContext& ctx, const Matrix& node_features,
   Var y = y0;
 
   for (std::size_t l = 0; l < config_.num_layers; ++l) {
-    Var x_cat = t.concat_cols({x, x0});  // X′ (n × 2h)
-    Var y_cat = t.concat_cols({y, y0});  // Y′ (m × 2h)
-    // MSG: per-edge update from the edge state and both endpoints.
-    Var x_src = t.row_gather(x_cat, src);
-    Var x_dst = t.row_gather(x_cat, dst);
-    Var msg_in = t.concat_cols({y_cat, x_src, x_dst});  // m × 6h
-    Var y_new = edge_mlp(l).forward(ctx, msg_in);       // Yˡ⁺¹ (m × h)
+    // MSG: Yˡ⁺¹ (m × h) from the edge state and both endpoints. Its
+    // m × 6h input [Y′ X′[src] X′[dst]] is read as three terms, so the
+    // endpoint products X′·W run on n rows and are gathered afterwards.
+    Var y_new = edge_mlp(l).forward(
+        ctx, {{{y, y0}, nullptr}, {{x, x0}, &src}, {{x, x0}, &dst}});
     // AGG: sum incident edge messages at each endpoint role, optionally
     // gated per edge so unreliable (fake) edges contribute less.
     Var messages = y_new;
@@ -105,8 +114,8 @@ Var InteractionGnn::forward(TapeContext& ctx, const Matrix& node_features,
     }
     Var m_src = t.segment_sum(messages, src, num_vertices);
     Var m_dst = t.segment_sum(messages, dst, num_vertices);
-    Var node_in = t.concat_cols({m_src, m_dst, x_cat});  // n × 4h
-    Var x_new = node_mlp(l).forward(ctx, node_in);       // Xˡ⁺¹ (n × h)
+    // Xˡ⁺¹ (n × h) from [M_src M_dst X′], read as one term.
+    Var x_new = node_mlp(l).forward(ctx, {{{m_src, m_dst, x, x0}, nullptr}});
     x = x_new;
     y = y_new;
   }
@@ -135,14 +144,17 @@ std::vector<float> InteractionGnn::predict(const Matrix& node_features,
 std::size_t ignn_activation_estimate(const IgnnConfig& config,
                                      std::size_t num_vertices,
                                      std::size_t num_edges) {
-  const std::size_t h = config.hidden_dim;
-  // Per layer, the dominant retained activations (Algorithm 1's
-  // X^{l+1}, Y^{l+1}, M_src, M_dst plus the 6h-wide MSG input):
-  const std::size_t per_layer =
-      num_edges * (6 * h + h)          // msg input + Y^{l+1}
-      + num_vertices * (4 * h + h + 2 * h)  // node input + X^{l+1} + M
-      ;
-  return per_layer * config.num_layers + (num_vertices + num_edges) * h;
+  const IgnnMlps mlps = ignn_mlps(config);
+  const std::size_t n = num_vertices, m = num_edges, h = config.hidden_dim;
+  // Per layer: the edge MLP (its first layer's split products and the
+  // gathered rows are transient; only its m × h output stays), the
+  // optional gate and gated messages, M_src and M_dst, the node MLP.
+  std::size_t per_layer = mlp_tape_floats(mlps.edge, m) + 2 * n * h +
+                          mlp_tape_floats(mlps.node, n);
+  if (config.attention) per_layer += mlp_tape_floats(mlps.gate, m) + m * h;
+  return n * config.node_input_dim + m * config.edge_input_dim +
+         mlp_tape_floats(mlps.node_enc, n) + mlp_tape_floats(mlps.edge_enc, m) +
+         per_layer * config.num_layers + mlp_tape_floats(mlps.classifier, m);
 }
 
 }  // namespace trkx

@@ -40,13 +40,21 @@ struct IgnnConfig {
 ///   Xˡ⁺¹ = φᵥˡ([M_src  M_dst  X′])
 /// and the output is a per-edge logit φ_out(Y^L) for binary track/fake
 /// classification.
+///
+/// The concats are virtual: each MLP's first layer reads its input as
+/// terms (Tape::linear), each block times its own row block of W. MSG's
+/// first layer is Y′·W₁₂ + (X′·W₃₄)[src] + (X′·W₅₆)[dst] + b, so the
+/// endpoint products run on n vertex rows and are gathered after the
+/// GEMM, and neither the m × 6h nor the n × 4h input is ever built.
 class InteractionGnn {
  public:
   InteractionGnn(ParameterStore& store, const IgnnConfig& config, Rng& rng);
 
   /// Record the forward pass on `ctx`; returns m×1 edge logits.
   /// `src`/`dst` are the endpoint index arrays of the m edges (A.rows /
-  /// A.cols); `num_vertices` bounds the aggregation.
+  /// A.cols); `num_vertices` bounds the aggregation. The tape borrows
+  /// `src` and `dst` (its backward reads them), so they must outlive
+  /// `ctx`; the Graph overload passes the graph's own arrays.
   Var forward(TapeContext& ctx, const Matrix& node_features,
               const Matrix& edge_features,
               const std::vector<std::uint32_t>& src,
@@ -78,9 +86,13 @@ class InteractionGnn {
   std::unique_ptr<Mlp> edge_classifier_;
 };
 
-/// Count of activation floats a full-graph IGNN forward materialises —
-/// the memory-wall quantity (≈ per-layer m·f edge activations) that makes
-/// Exa.TrkX skip large graphs. Used by the memory ablation bench.
+/// Count of floats a full-graph IGNN training forward keeps on its tape
+/// (Tape::activation_floats() after forward() returns the logits): the
+/// input features, every retained MLP output, activation and layer norm,
+/// the aggregated messages, and the bound parameters ctx.bind copies in.
+/// The memory-wall quantity (per layer ≈ 8·m·h edge and 10·n·h node floats
+/// with 2 hidden layers and layer norm) that makes Exa.TrkX skip large
+/// graphs; used by fits_memory_budget and the memory ablation bench.
 std::size_t ignn_activation_estimate(const IgnnConfig& config,
                                      std::size_t num_vertices,
                                      std::size_t num_edges);

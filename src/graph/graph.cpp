@@ -9,10 +9,14 @@ namespace trkx {
 
 Graph::Graph(std::size_t num_vertices, std::vector<Edge> edges)
     : num_vertices_(num_vertices), edges_(std::move(edges)) {
+  src_.reserve(edges_.size());
+  dst_.reserve(edges_.size());
   for (const Edge& e : edges_) {
     TRKX_CHECK_MSG(e.src < num_vertices_ && e.dst < num_vertices_,
                    "edge (" << e.src << "," << e.dst
                             << ") out of range for n=" << num_vertices_);
+    src_.push_back(e.src);
+    dst_.push_back(e.dst);
   }
   build_index();
 }
@@ -45,18 +49,6 @@ std::span<const Graph::OutEdge> Graph::out_edges(std::uint32_t v) const {
   TRKX_CHECK(v < num_vertices_);
   return {out_entries_.data() + out_row_ptr_[v],
           static_cast<std::size_t>(out_row_ptr_[v + 1] - out_row_ptr_[v])};
-}
-
-std::vector<std::uint32_t> Graph::src_indices() const {
-  std::vector<std::uint32_t> idx(edges_.size());
-  for (std::size_t i = 0; i < edges_.size(); ++i) idx[i] = edges_[i].src;
-  return idx;
-}
-
-std::vector<std::uint32_t> Graph::dst_indices() const {
-  std::vector<std::uint32_t> idx(edges_.size());
-  for (std::size_t i = 0; i < edges_.size(); ++i) idx[i] = edges_[i].dst;
-  return idx;
 }
 
 CsrMatrix Graph::adjacency() const {

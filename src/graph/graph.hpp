@@ -33,9 +33,10 @@ class Graph {
   const Edge& edge(std::size_t i) const { return edges_[i]; }
 
   /// Source/destination index arrays (A.rows / A.cols in Algorithm 1),
-  /// ready for row_gather / segment_sum.
-  std::vector<std::uint32_t> src_indices() const;
-  std::vector<std::uint32_t> dst_indices() const;
+  /// ready for row_gather / segment_sum. Built at construction, so a tape
+  /// may borrow them for as long as the graph lives.
+  const std::vector<std::uint32_t>& src_indices() const { return src_; }
+  const std::vector<std::uint32_t>& dst_indices() const { return dst_; }
 
   /// Directed adjacency with value 1 per edge (duplicates summed).
   CsrMatrix adjacency() const;
@@ -67,6 +68,8 @@ class Graph {
 
   std::size_t num_vertices_ = 0;
   std::vector<Edge> edges_;
+  std::vector<std::uint32_t> src_;  // edges_[i].src, as one array
+  std::vector<std::uint32_t> dst_;
   // CSR out-edge index: out_row_ptr_[v] .. out_row_ptr_[v+1] slices
   // out_entries_, sorted by (dst, edge) within each row.
   std::vector<std::uint64_t> out_row_ptr_;

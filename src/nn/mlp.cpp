@@ -24,12 +24,19 @@ Linear::Linear(ParameterStore& store, const std::string& name,
 }
 
 Var Linear::forward(TapeContext& ctx, Var x) const {
-  TRKX_CHECK_MSG(x.cols() == in_dim(), "Linear expects input dim "
-                                           << in_dim() << ", got "
-                                           << x.cols());
+  return forward(ctx, {LinearTerm{{x}, nullptr}});
+}
+
+Var Linear::forward(TapeContext& ctx,
+                    const std::vector<LinearTerm>& terms) const {
+  std::size_t width = 0;
+  for (const LinearTerm& term : terms)
+    for (Var v : term.inputs) width += v.cols();
+  TRKX_CHECK_MSG(width == in_dim(), "Linear expects input dim "
+                                        << in_dim() << ", got " << width);
   Var w = ctx.bind(*weight_);
   Var b = ctx.bind(*bias_);
-  return ctx.tape().linear(x, w, b);
+  return ctx.tape().linear(terms, w, b);
 }
 
 Mlp::Mlp(ParameterStore& store, const std::string& name,
@@ -56,18 +63,38 @@ Mlp::Mlp(ParameterStore& store, const std::string& name,
 }
 
 Var Mlp::forward(TapeContext& ctx, Var x) const {
-  Var h = x;
-  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    h = layers_[i].forward(ctx, h);
+  return forward(ctx, {LinearTerm{{x}, nullptr}});
+}
+
+Var Mlp::forward(TapeContext& ctx, const std::vector<LinearTerm>& terms) const {
+  Var h = layers_.front().forward(ctx, terms);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
     h = apply_activation(ctx.tape(), h, config_.hidden_activation);
     if (config_.layer_norm) {
-      Var gamma = ctx.bind(*ln_gamma_[i]);
-      Var beta = ctx.bind(*ln_beta_[i]);
+      Var gamma = ctx.bind(*ln_gamma_[i - 1]);
+      Var beta = ctx.bind(*ln_beta_[i - 1]);
       h = ctx.tape().layer_norm(h, gamma, beta);
     }
+    h = layers_[i].forward(ctx, h);
   }
-  h = layers_.back().forward(ctx, h);
   return apply_activation(ctx.tape(), h, config_.output_activation);
+}
+
+std::size_t mlp_tape_floats(const MlpConfig& config, std::size_t rows) {
+  const std::size_t hidden_act =
+      config.hidden_activation == Activation::kNone ? 0 : 1;
+  const std::size_t out_act =
+      config.output_activation == Activation::kNone ? 0 : 1;
+  const std::size_t h = config.hidden_dim;
+  std::size_t total = 0;
+  std::size_t in = config.input_dim;
+  for (std::size_t i = 0; i < config.num_hidden; ++i) {
+    total += (in + 1) * h + rows * h * (1 + hidden_act);
+    if (config.layer_norm) total += 2 * h + rows * h;
+    in = h;
+  }
+  return total + (in + 1) * config.output_dim +
+         rows * config.output_dim * (1 + out_act);
 }
 
 }  // namespace trkx

@@ -19,6 +19,9 @@ class Linear {
          std::size_t out_dim, Rng& rng);
 
   Var forward(TapeContext& ctx, Var x) const;
+  /// The same layer on an input given as terms (Tape::linear), whose
+  /// total width must be in_dim(): term t's blocks read W's next rows.
+  Var forward(TapeContext& ctx, const std::vector<LinearTerm>& terms) const;
 
   std::size_t in_dim() const { return weight_->value.rows(); }
   std::size_t out_dim() const { return weight_->value.cols(); }
@@ -48,6 +51,9 @@ class Mlp {
       Rng& rng);
 
   Var forward(TapeContext& ctx, Var x) const;
+  /// The same MLP with its first layer reading its input as terms (a
+  /// concatenation it never builds, optionally gathered; Tape::linear).
+  Var forward(TapeContext& ctx, const std::vector<LinearTerm>& terms) const;
 
   const MlpConfig& config() const { return config_; }
   /// Linear layer count (num_hidden + 1 output layer).
@@ -60,5 +66,12 @@ class Mlp {
   std::vector<Parameter*> ln_gamma_;
   std::vector<Parameter*> ln_beta_;
 };
+
+/// Floats one Mlp::forward over `rows` input rows keeps on the tape: per
+/// linear layer the bound weight and bias (TapeContext::bind copies them
+/// onto the tape) and its output, per hidden layer its activation and,
+/// with layer norm, the bound gamma and beta and the normalised output,
+/// and the output activation unless it is kNone.
+std::size_t mlp_tape_floats(const MlpConfig& config, std::size_t rows);
 
 }  // namespace trkx

@@ -26,11 +26,11 @@ struct AdamStep {
 /// through active(); tests and benches may pin a table directly.
 ///
 /// Numerics contract, enforced by tests/kernels_test.cpp:
-///   - bit-identical across tables: row_gather, row_scatter_add (and so
-///     segment_sum), every ew_* kernel, relu_fwd, relu_bwd, tanh_bwd,
-///     colwise_sum, adam_update — these are elementwise or preserve the
-///     scalar accumulation order exactly, and the AVX2 build never
-///     FMA-contracts them;
+///   - bit-identical across tables: row_gather (both modes),
+///     row_scatter_add (and so segment_sum), every ew_* kernel, relu_fwd,
+///     relu_bwd, tanh_bwd, colwise_sum, adam_update — these are
+///     elementwise or preserve the scalar accumulation order exactly, and
+///     the AVX2 build never FMA-contracts them;
 ///   - ULP-bounded: gemm, gemm_nt, gemm_tn — the AVX2 microkernel
 ///     accumulates each output in the scalar k order but rounds once per
 ///     FMA step (only the n == 1 dot-product paths reassociate) — and
@@ -45,26 +45,32 @@ struct AdamStep {
 /// Outputs marked "overwritten" are written in full, so callers allocate
 /// them with Matrix::uninit; outputs marked "accumulating" must be
 /// zero-filled (or hold the running sum) — the kernel adds into them.
+/// The GEMMs and row_gather choose per call: with `accumulate` false they
+/// overwrite their output, with it true they add into it (C += A·B, so a
+/// linear layer sums its split products into one output, and k = 0 leaves
+/// C untouched).
 struct KernelTable {
   const char* name;
 
-  /// c (m×n, overwritten) = a (m×k) · b (k×n).
+  /// c (m×n) = a (m×k) · b (k×n), or c += a · b when accumulate.
   void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n);
-  /// c (m×n, overwritten) = a (m×k) · b (n×k)ᵀ.
+               std::size_t k, std::size_t n, bool accumulate);
+  /// c (m×n) = a (m×k) · b (n×k)ᵀ, or c += a · bᵀ when accumulate.
   void (*gemm_nt)(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n);
-  /// c (m×n, overwritten) = a (k×m)ᵀ · b (k×n).
+                  std::size_t k, std::size_t n, bool accumulate);
+  /// c (m×n) = a (k×m)ᵀ · b (k×n), or c += aᵀ · b when accumulate.
   void (*gemm_tn)(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n);
+                  std::size_t k, std::size_t n, bool accumulate);
   /// y (rows×f, accumulating) += CSR(row_ptr, col_idx, val) · x (·×f).
   void (*spmm)(const std::uint64_t* row_ptr, const std::uint32_t* col_idx,
                const float* val, const float* x, float* y, std::size_t rows,
                std::size_t f);
 
-  /// out[i, :] = x[idx[i], :]; indices pre-validated by the caller.
+  /// out[i, :] = x[idx[i], :], or out[i, :] += x[idx[i], :] when
+  /// accumulate (the gather-add after a split GEMM); indices pre-validated
+  /// by the caller.
   void (*row_gather)(const float* x, const std::uint32_t* idx, float* out,
-                     std::size_t n_idx, std::size_t cols);
+                     std::size_t n_idx, std::size_t cols, bool accumulate);
   /// dst[idx[i], :] += src[i, :]; serial over source rows (collisions).
   void (*row_scatter_add)(float* dst, const std::uint32_t* idx,
                           const float* src, std::size_t n_rows,

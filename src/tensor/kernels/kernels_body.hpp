@@ -566,27 +566,27 @@ inline void gemm_tile_rows(std::size_t rows, const float* a, std::size_t rs,
   kTiles[rows](a, rs, ks, b, ldb, c, ldc, kc, load_c);
 }
 
-/// C (m×n, overwritten) = A·B with A(i, p) = a[i*rs + p*ks] and B k×n
-/// row-major, or n×k (B is given transposed) when b_t. The first k-block
-/// starts its tiles from zero, later ones load C. Every thread walks the
-/// same k-blocks and 16-column panels; a transposed panel is packed into
-/// the thread's own stack buffer. Column tails (n mod 16) go through
-/// mac_row.
+/// C (m×n) = A·B, or C += A·B when accumulate, with A(i, p) =
+/// a[i*rs + p*ks] and B k×n row-major, or n×k (B is given transposed) when
+/// b_t. Without accumulate the first k-block starts its tiles from zero;
+/// every other k-block loads C. Every thread walks the same k-blocks and
+/// 16-column panels; a transposed panel is packed into the thread's own
+/// stack buffer. Column tails (n mod 16) go through mac_row.
 inline void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
                          const float* b, bool b_t, float* c, std::size_t m,
-                         std::size_t k, std::size_t n) {
-  if (k == 0) {  // no k-block runs to overwrite C
-    std::fill(c, c + m * n, 0.0f);
+                         std::size_t k, std::size_t n, bool accumulate) {
+  if (k == 0) {  // no k-block runs: C = 0, or C += 0
+    if (!accumulate) std::fill(c, c + m * n, 0.0f);
     return;
   }
   const std::size_t tiles = (m + kMr - 1) / kMr;
   float panel[kKc * kNr];  // private: each thread packs its own Bᵀ panels
 #pragma omp parallel default(none) shared(a, b, c) private(panel) \
-    firstprivate(rs, ks, b_t, m, k, n, tiles)
+    firstprivate(rs, ks, b_t, m, k, n, tiles, accumulate)
   {
     for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
       const std::size_t kc = std::min(std::size_t{kKc}, k - k0);
-      const bool load_c = k0 > 0;
+      const bool load_c = accumulate || k0 > 0;
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
         const std::size_t nr = std::min(std::size_t{kNr}, n - j0);
         if (b_t) {
@@ -620,42 +620,48 @@ inline void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
   }
 }
 
-inline void gemm(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  if (n == 1) {  // matrix · vector (the classifier head): a dot per row
+/// c[i] (+)= a(i, :) · b for a row-major m×k a (the n = 1 path of gemm
+/// and gemm_nt: matrix · vector, e.g. the classifier head).
+inline void gemv(const float* a, const float* b, float* c, std::size_t m,
+                 std::size_t k, bool accumulate) {
+  if (accumulate && k == 0) return;  // C += 0 leaves -0 entries as they are
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k)
-    for (std::size_t i = 0; i < m; ++i) c[i] = dot_row(a + i * k, b, k);
-    return;
+    firstprivate(m, k, accumulate)
+  for (std::size_t i = 0; i < m; ++i) {
+    const float d = dot_row(a + i * k, b, k);
+    c[i] = accumulate ? c[i] + d : d;
   }
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n);
+}
+
+inline void gemm(const float* a, const float* b, float* c, std::size_t m,
+                 std::size_t k, std::size_t n, bool accumulate) {
+  if (n == 1) return gemv(a, b, c, m, k, accumulate);
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n,
+               accumulate);
 }
 
 inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n) {
-  if (n == 1) {
-#pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k)
-    for (std::size_t i = 0; i < m; ++i) c[i] = dot_row(a + i * k, b, k);
-    return;
-  }
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n);
+                    std::size_t k, std::size_t n, bool accumulate) {
+  if (n == 1) return gemv(a, b, c, m, k, accumulate);
+  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n,
+               accumulate);
 }
 
 inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n) {
+                    std::size_t k, std::size_t n, bool accumulate) {
   if (n == 1) {  // Aᵀ · vector (the classifier's weight gradient): axpys
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k)
+    firstprivate(m, k, accumulate)
     for (std::size_t i0 = 0; i0 < m; i0 += kEwBlock) {
       const std::size_t len = std::min(std::size_t{kEwBlock}, m - i0);
-      std::fill(c + i0, c + i0 + len, 0.0f);
+      if (!accumulate) std::fill(c + i0, c + i0 + len, 0.0f);
       for (std::size_t p = 0; p < k; ++p)
         mac_row(c + i0, a + p * m + i0, b[p], len);
     }
     return;
   }
-  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n);
+  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n,
+               accumulate);
 }
 
 #else  // scalar reference: the historical loop nests
@@ -664,13 +670,13 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
 constexpr std::size_t kTile = 64;
 
 inline void gemm(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n) {
+                 std::size_t k, std::size_t n, bool accumulate) {
   // i-k-j order with k-tiling and zero-skip, as the historical matmul,
   // which accumulated into a zero-filled C.
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k, n)
+    firstprivate(m, k, n, accumulate)
   for (std::size_t i = 0; i < m; ++i) {
-    std::fill(c + i * n, c + i * n + n, 0.0f);
+    if (!accumulate) std::fill(c + i * n, c + i * n + n, 0.0f);
     for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
       const std::size_t k1 = std::min(k0 + kTile, k);
       for (std::size_t kk = k0; kk < k1; ++kk) {
@@ -683,22 +689,26 @@ inline void gemm(const float* a, const float* b, float* c, std::size_t m,
 }
 
 inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n) {
+                    std::size_t k, std::size_t n, bool accumulate) {
+  if (accumulate && k == 0) return;  // C += 0 leaves -0 entries as they are
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k, n)
+    firstprivate(m, k, n, accumulate)
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = dot_row(arow, b + j * k, k);
+    for (std::size_t j = 0; j < n; ++j) {
+      const float d = dot_row(arow, b + j * k, k);
+      crow[j] = accumulate ? crow[j] + d : d;
+    }
   }
 }
 
 inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n) {
+                    std::size_t k, std::size_t n, bool accumulate) {
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
-    firstprivate(m, k, n)
+    firstprivate(m, k, n, accumulate)
   for (std::size_t i = 0; i < m; ++i) {
-    std::fill(c + i * n, c + i * n + n, 0.0f);
+    if (!accumulate) std::fill(c + i * n, c + i * n + n, 0.0f);
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float aki = a[kk * m + i];
       if (aki == 0.0f) continue;
@@ -723,11 +733,17 @@ inline void spmm(const std::uint64_t* row_ptr, const std::uint32_t* col_idx,
 }
 
 inline void row_gather(const float* x, const std::uint32_t* idx, float* out,
-                       std::size_t n_idx, std::size_t cols) {
+                       std::size_t n_idx, std::size_t cols, bool accumulate) {
+  // Each output row is written by one thread, and the add is exact, so
+  // both modes are bit-identical across tables.
 #pragma omp parallel for schedule(static) default(none) shared(x, idx, out) \
-    firstprivate(n_idx, cols)
+    firstprivate(n_idx, cols, accumulate)
   for (std::size_t i = 0; i < n_idx; ++i) {
-    std::memcpy(out + i * cols, x + idx[i] * cols, cols * sizeof(float));
+    if (accumulate) {
+      vadd_inplace(out + i * cols, x + idx[i] * cols, cols);
+    } else {
+      std::memcpy(out + i * cols, x + idx[i] * cols, cols * sizeof(float));
+    }
   }
 }
 

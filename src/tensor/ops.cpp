@@ -14,7 +14,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
                                            << b.shape_str());
   Matrix c = Matrix::uninit(a.rows(), b.cols());
   kernels::active().gemm(a.data(), b.data(), c.data(), a.rows(), a.cols(),
-                         b.cols());
+                         b.cols(), /*accumulate=*/false);
   return c;
 }
 
@@ -24,7 +24,7 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
                                            << b.shape_str() << "^T");
   Matrix c = Matrix::uninit(a.rows(), b.rows());
   kernels::active().gemm_nt(a.data(), b.data(), c.data(), a.rows(), a.cols(),
-                            b.rows());
+                            b.rows(), /*accumulate=*/false);
   return c;
 }
 
@@ -34,7 +34,7 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
                                            << b.shape_str());
   Matrix c = Matrix::uninit(a.cols(), b.cols());
   kernels::active().gemm_tn(a.data(), b.data(), c.data(), a.cols(), a.rows(),
-                            b.cols());
+                            b.cols(), /*accumulate=*/false);
   return c;
 }
 
@@ -89,23 +89,6 @@ void add_inplace(Matrix& a, const Matrix& b) {
 void axpy_inplace(Matrix& a, float s, const Matrix& b) {
   TRKX_CHECK(a.same_shape(b));
   kernels::active().ew_axpy(a.data(), s, b.data(), a.size());
-}
-
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {
-  TRKX_CHECK_MSG(row.rows() == 1 && row.cols() == a.cols(),
-                 "broadcast shape mismatch " << a.shape_str() << " + "
-                                             << row.shape_str());
-  Matrix out = Matrix::uninit(a.rows(), a.cols());
-  const float* pr = row.data();
-  const std::size_t r = a.rows(), c = a.cols();
-#pragma omp parallel for schedule(static) default(none) shared(a, out, pr) \
-    firstprivate(r, c)
-  for (std::size_t i = 0; i < r; ++i) {
-    const float* arow = a.data() + i * c;
-    float* orow = out.data() + i * c;
-    for (std::size_t j = 0; j < c; ++j) orow[j] = arow[j] + pr[j];
-  }
-  return out;
 }
 
 Matrix colwise_sum(const Matrix& a) {
@@ -191,7 +174,7 @@ Matrix row_gather(const Matrix& x, const std::vector<std::uint32_t>& index) {
   }
   Matrix out = Matrix::uninit(index.size(), x.cols());
   kernels::active().row_gather(x.data(), index.data(), out.data(),
-                               index.size(), x.cols());
+                               index.size(), x.cols(), /*accumulate=*/false);
   return out;
 }
 

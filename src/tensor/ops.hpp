@@ -32,8 +32,6 @@ void add_inplace(Matrix& a, const Matrix& b);
 /// a += s * b
 void axpy_inplace(Matrix& a, float s, const Matrix& b);
 
-/// Broadcast-add a 1×c row vector to every row of a (returns new matrix).
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row);
 /// 1×c column sums (the gradient of a row broadcast).
 Matrix colwise_sum(const Matrix& a);
 /// r×1 row sums.

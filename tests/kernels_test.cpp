@@ -251,9 +251,18 @@ TEST(KernelEquivalence, GatherScatterBitIdentical) {
       i = static_cast<std::uint32_t>(rng.uniform() * src_rows) % src_rows;
 
     std::vector<float> g1(n_idx * cols), g2(n_idx * cols);
-    sc.row_gather(x.data(), idx.data(), g1.data(), n_idx, cols);
-    vx.row_gather(x.data(), idx.data(), g2.data(), n_idx, cols);
+    sc.row_gather(x.data(), idx.data(), g1.data(), n_idx, cols, false);
+    vx.row_gather(x.data(), idx.data(), g2.data(), n_idx, cols, false);
     EXPECT_TRUE(bitwise_equal(g1, g2)) << "row_gather cols=" << cols;
+
+    // Gather-add (a split linear's out += P[index]): exact on both tables.
+    const auto h0 = random_vec(n_idx * cols, rng);
+    auto h1 = h0, h2 = h0;
+    sc.row_gather(x.data(), idx.data(), h1.data(), n_idx, cols, true);
+    vx.row_gather(x.data(), idx.data(), h2.data(), n_idx, cols, true);
+    EXPECT_TRUE(bitwise_equal(h1, h2)) << "row_gather add cols=" << cols;
+    for (std::size_t i = 0; i < h0.size(); ++i)
+      ASSERT_EQ(h1[i], h0[i] + g1[i]) << "row_gather add cols=" << cols;
 
     // Scatter with colliding indices: accumulation order must match.
     std::vector<float> d1(src_rows * cols, 0.25f), d2(src_rows * cols, 0.25f);
@@ -300,33 +309,51 @@ TEST(KernelEquivalence, AdamUpdateBitIdentical) {
 
 // ---------- ULP-bounded kernels ----------
 
-/// One m×k·k×n shape through all three GEMMs of both tables. All three
-/// overwrite C, so C starts at NaN and any output a kernel fails to
-/// write shows up.
+/// One m×k·k×n shape through all three GEMMs of both tables, in both
+/// modes. Overwriting, C starts at NaN, so any output a kernel fails to
+/// write shows up. Accumulating, C starts at random C₀ (one entry -0) and
+/// both tables must give C₀ + A·B, with the scalar overwrite result as
+/// A·B; k = 0 must leave C₀ bit-unchanged.
 void expect_gemm_family_close(std::size_t m, std::size_t k, std::size_t n,
                               Rng& rng) {
-  const kernels::KernelTable& sc = kernels::scalar_table();
-  const kernels::KernelTable& vx = kernels::avx2_table();
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  const std::vector<float> nan_c(m * n, std::nanf(""));
-  auto c1 = nan_c, c2 = nan_c;
-  sc.gemm(a.data(), b.data(), c1.data(), m, k, n);
-  vx.gemm(a.data(), b.data(), c2.data(), m, k, n);
+  using kernels::KernelTable;
+  const KernelTable& sc = kernels::scalar_table();
+  const KernelTable& vx = kernels::avx2_table();
   SCOPED_TRACE(::testing::Message() << "m=" << m << " k=" << k << " n=" << n);
-  expect_close(c1, c2, k, "gemm");
+  const auto a = random_vec(m * k, rng);   // m×k: gemm, gemm_nt
+  const auto at = random_vec(k * m, rng);  // k×m: gemm_tn
+  const auto b = random_vec(k * n, rng);   // k×n: gemm, gemm_tn
+  const auto bt = random_vec(n * k, rng);  // n×k: gemm_nt
+  auto c0 = random_vec(m * n, rng);
+  if (!c0.empty()) c0[0] = -0.0f;
+  using Gemm = decltype(KernelTable::gemm);
+  const struct {
+    const char* name;
+    Gemm KernelTable::*fn;
+    const float* a;
+    const float* b;
+  } gemms[] = {{"gemm", &KernelTable::gemm, a.data(), b.data()},
+               {"gemm_nt", &KernelTable::gemm_nt, a.data(), bt.data()},
+               {"gemm_tn", &KernelTable::gemm_tn, at.data(), b.data()}};
+  for (const auto& g : gemms) {
+    std::vector<float> c1(m * n, std::nanf("")), c2 = c1;
+    (sc.*g.fn)(g.a, g.b, c1.data(), m, k, n, false);
+    (vx.*g.fn)(g.a, g.b, c2.data(), m, k, n, false);
+    expect_close(c1, c2, k, g.name);
 
-  const auto bt = random_vec(n * k, rng);
-  auto d1 = nan_c, d2 = nan_c;
-  sc.gemm_nt(a.data(), bt.data(), d1.data(), m, k, n);
-  vx.gemm_nt(a.data(), bt.data(), d2.data(), m, k, n);
-  expect_close(d1, d2, k, "gemm_nt");
-
-  const auto at = random_vec(k * m, rng);
-  auto e1 = nan_c, e2 = nan_c;
-  sc.gemm_tn(at.data(), b.data(), e1.data(), m, k, n);
-  vx.gemm_tn(at.data(), b.data(), e2.data(), m, k, n);
-  expect_close(e1, e2, k, "gemm_tn");
+    std::vector<float> ref(m * n);
+    for (std::size_t i = 0; i < ref.size(); ++i) ref[i] = c0[i] + c1[i];
+    auto d1 = c0, d2 = c0;
+    (sc.*g.fn)(g.a, g.b, d1.data(), m, k, n, true);
+    (vx.*g.fn)(g.a, g.b, d2.data(), m, k, n, true);
+    SCOPED_TRACE("accumulate");
+    expect_close(ref, d1, k, g.name);
+    expect_close(ref, d2, k, g.name);
+    if (k == 0) {
+      EXPECT_TRUE(bitwise_equal(d1, c0)) << g.name << " scalar k=0";
+      EXPECT_TRUE(bitwise_equal(d2, c0)) << g.name << " avx2 k=0";
+    }
+  }
 }
 
 TEST(KernelEquivalence, GemmFamilyClose) {
@@ -341,6 +368,8 @@ TEST(KernelEquivalence, GemmFamilyClose) {
         expect_gemm_family_close(m, k, n, rng);
   // The IGNN traffic over E = 6451 edge rows (hidden 32, CTD features
   // 14/8): edge- and node-MLP layers, their dX, and the classifier head.
+  // The split edge-MLP layer runs one E×32·32×32 GEMM per edge-side block
+  // and one V×32·32×32 per vertex-side block (V = 2580).
   for (auto [k, n] : {std::pair<std::size_t, std::size_t>{192, 32},
                       {32, 192},
                       {14, 32},
@@ -348,13 +377,15 @@ TEST(KernelEquivalence, GemmFamilyClose) {
                       {32, 1},
                       {257, 33}})
     expect_gemm_family_close(6451, k, n, rng);
+  expect_gemm_family_close(2580, 32, 32, rng);
   // The weight-gradient reductions: gemm_tn over k = 6451 edge rows
-  // crosses 26 k-blocks.
+  // crosses 26 k-blocks, over the V = 2580 rows of a split term 11.
   for (auto [m, n] : {std::pair<std::size_t, std::size_t>{192, 32},
                       {32, 32},
                       {32, 1},
                       {13, 17}})
     expect_gemm_family_close(m, 6451, n, rng);
+  expect_gemm_family_close(32, 2580, 32, rng);
 }
 
 TEST(KernelEquivalence, SpmmClose) {

@@ -34,7 +34,11 @@ class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     DetectorConfig detector;
-    detector.mean_particles = 8;
+    // Dense enough that the served == offline and hot == cold oracles see
+    // a wrong weight: with 8 particles per event, a 3× coarser served
+    // filter cut and a reload that dropped the embedding and filter
+    // weights both left every served track unchanged.
+    detector.mean_particles = 30;
     detector.noise_fraction = 0.05;
     Rng rng(23);
     std::vector<Event> train;
@@ -582,7 +586,7 @@ TEST_F(ServeTest, HotReloadedReplicaServesColdReplicaResults) {
     expect_same_tracks(hot.tracks, cold[i].tracks);
     expect_same_fits(hot.fits, cold[i].fits);
     // Edge scores as well: tracks alone can hide a changed candidate
-    // graph on an event this small.
+    // graph on a small event.
     const BinaryMetrics h =
         hot_replica->pipeline->reconstruct(payloads_[i]).edge_metrics;
     const BinaryMetrics c =
