@@ -256,12 +256,6 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   cases.push_back({"ew_add", 4.0 * fN * 3.0, fN, [&] {
                      t.ew_add(x.data(), y.data(), out.data(), kEwN);
                    }});
-  cases.push_back({"ew_axpy", 4.0 * fN * 3.0, 2.0 * fN, [&] {
-                     t.ew_axpy(out.data(), 0.5f, x.data(), kEwN);
-                   }});
-  cases.push_back({"rowwise_sum", 4.0 * (fN + fR), fN, [&] {
-                     t.rowwise_sum(x.data(), inv_std.data(), kRows, kCols);
-                   }});
   cases.push_back({"colwise_sum", 4.0 * (fN + 2.0 * fC), fN, [&] {
                      std::memset(colsum.data(), 0, kCols * sizeof(float));
                      t.colwise_sum(x.data(), colsum.data(), kRows, kCols);

@@ -42,6 +42,12 @@
 #                build, gated by scripts/check_regression.py against the
 #                committed BENCH_PR10.json trajectory; the summary carries
 #                the regression count and per-bench verdicts
+#   perfbench    python3 perfbench/selftest.py: builds the train-and-serve
+#                benchmark from this tree into .bench_build/ and runs
+#                every workload briefly (a few minutes), so a library
+#                change that breaks what the benchmark compiles against
+#                or reports fails here rather than at benchmark time;
+#                pass/fail only, no timings are gated
 #
 # Usage:
 #   scripts/ci_matrix.sh [--only NAME[,NAME...]] [--out SUMMARY.json]
@@ -374,6 +380,14 @@ print(json.dumps(json.load(open('$dir/regression.json'))['verdicts']))")
   fi
   record perf "$status" "$(( $(date +%s) - t0 ))" "$perf_log" "" \
     "$regressions" "$verdicts"
+fi
+
+if wants perfbench; then
+  t0=$(date +%s)
+  perfbench_log=build-ci/perfbench.log
+  status=pass
+  python3 perfbench/selftest.py > "$perfbench_log" 2>&1 || status=fail
+  record perfbench "$status" "$(( $(date +%s) - t0 ))" "$perfbench_log"
 fi
 
 if wants analyze; then

@@ -8,12 +8,15 @@
 
 namespace trkx {
 
-void Optimizer::scale_grads(float s) {
-  for (auto& p : store_->params())
-    for (float& g : p.grad.flat()) g *= s;
+Adam::Adam(ParameterStore& store, const AdamOptions& options)
+    : store_(&store), options_(options) {
+  for (const auto& p : store.params()) {
+    m_.emplace_back(p.value.rows(), p.value.cols(), 0.0f);
+    v_.emplace_back(p.value.rows(), p.value.cols(), 0.0f);
+  }
 }
 
-double Optimizer::clip_grad_norm(double max_norm) {
+double Adam::clip_grad_norm(double max_norm) {
   TRKX_CHECK(max_norm > 0.0);
   double sq = 0.0;
   for (const auto& p : store_->params())
@@ -21,41 +24,10 @@ double Optimizer::clip_grad_norm(double max_norm) {
   const double norm = std::sqrt(sq);
   if (norm > max_norm) {
     const float s = static_cast<float>(max_norm / (norm + 1e-12));
-    scale_grads(s);
+    for (auto& p : store_->params())
+      for (float& g : p.grad.flat()) g *= s;
   }
   return norm;
-}
-
-Sgd::Sgd(ParameterStore& store, const SgdOptions& options)
-    : Optimizer(store), options_(options) {
-  for (const auto& p : store.params())
-    velocity_.emplace_back(p.value.rows(), p.value.cols(), 0.0f);
-}
-
-void Sgd::step() {
-  std::size_t i = 0;
-  for (auto& p : store_->params()) {
-    Matrix& vel = velocity_[i++];
-    float* w = p.value.data();
-    const float* g = p.grad.data();
-    float* v = vel.data();
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      float grad = g[j] + options_.weight_decay * w[j];
-      if (options_.momentum != 0.0f) {
-        v[j] = options_.momentum * v[j] + grad;
-        grad = v[j];
-      }
-      w[j] -= options_.lr * grad;
-    }
-  }
-}
-
-Adam::Adam(ParameterStore& store, const AdamOptions& options)
-    : Optimizer(store), options_(options) {
-  for (const auto& p : store.params()) {
-    m_.emplace_back(p.value.rows(), p.value.cols(), 0.0f);
-    v_.emplace_back(p.value.rows(), p.value.cols(), 0.0f);
-  }
 }
 
 namespace {

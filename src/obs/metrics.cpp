@@ -260,30 +260,6 @@ void MetricsRegistry::write_json(const std::string& path,
   write_json(os, with_manifest);
 }
 
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  LockGuard lock(mutex_);
-  os << "kind,name,count,value,min,max,mean,p50,p90,p95,p99\n";
-  for (const auto& [name, c] : counters_)
-    os << "counter," << name << ",," << c->value() << ",,,,,,,\n";
-  for (const auto& [name, g] : gauges_)
-    os << "gauge," << name << ",," << json_number(g->value()) << ",,,,,,,\n";
-  for (const auto& [name, h] : histograms_) {
-    const Histogram::Snapshot s = h->snapshot();
-    os << "histogram," << name << "," << s.count << ","
-       << json_number(s.sum) << "," << json_number(s.min) << ","
-       << json_number(s.max) << "," << json_number(s.mean()) << ","
-       << json_number(s.percentile(50)) << "," << json_number(s.percentile(90))
-       << "," << json_number(s.percentile(95)) << ","
-       << json_number(s.percentile(99)) << "\n";
-  }
-}
-
-void MetricsRegistry::write_csv(const std::string& path) const {
-  std::ofstream os(path);
-  TRKX_CHECK_MSG(os.good(), "metrics write_csv: cannot open " << path);
-  write_csv(os);
-}
-
 void MetricsRegistry::reset() {
   LockGuard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();

@@ -129,9 +129,6 @@ class MetricsRegistry {
   /// p50/p90/p95/p99 estimates. `with_manifest` prepends the RunManifest.
   void write_json(std::ostream& os, bool with_manifest = false) const;
   void write_json(const std::string& path, bool with_manifest = false) const;
-  /// CSV flattening: kind,name,count,value,min,max,mean,p50,p90,p95,p99.
-  void write_csv(std::ostream& os) const;
-  void write_csv(const std::string& path) const;
 
   void reset();
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -247,7 +248,9 @@ std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
     h = mix(h, static_cast<std::uint64_t>(*sampler));
   } else {
     h = mix(h, 0x66756c6cull);  // "full": no sampler
-    h = mix(h, config.max_edges);
+    // The former edge-count limit's "unlimited" value, still mixed in so
+    // full-graph checkpoints written before the limit was removed resume.
+    h = mix(h, std::numeric_limits<std::size_t>::max());
     h = mix(h, config.memory_budget_bytes);
   }
   h = mix(h, static_cast<std::uint64_t>(world_size));

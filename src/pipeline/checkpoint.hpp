@@ -94,7 +94,7 @@ std::string latest_checkpoint(const std::string& dir);
 /// Fingerprint of the parts of the run configuration that determine the
 /// training trajectory. Resume requires an exact match. `sampler` is
 /// nullopt for full-graph training, whose fingerprint also covers the
-/// memory limits that decide which events it trains on.
+/// memory budget that decides which events it trains on.
 std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
                                      std::optional<SamplerKind> sampler,
                                      int world_size);

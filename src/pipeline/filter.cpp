@@ -1,9 +1,8 @@
 #include "pipeline/filter.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/gnn_train.hpp"
 #include "util/log.hpp"
 
 namespace trkx {
@@ -48,18 +47,8 @@ std::vector<double> FilterModel::train(const std::vector<Event>& events) {
   TRKX_CHECK(!events.empty());
   // Auto pos_weight from global imbalance: fakes dominate, so weight
   // positives up to keep recall.
-  float pos_weight = config_.pos_weight;
-  if (pos_weight <= 0.0f) {
-    std::size_t pos = 0, total = 0;
-    for (const Event& e : events) {
-      for (char l : e.edge_labels) pos += (l != 0);
-      total += e.edge_labels.size();
-    }
-    pos_weight = pos == 0 ? 1.0f
-                          : static_cast<float>(total - pos) /
-                                static_cast<float>(std::max<std::size_t>(pos, 1));
-    pos_weight = std::clamp(pos_weight, 1.0f, 20.0f);
-  }
+  const float pos_weight =
+      config_.pos_weight > 0.0f ? config_.pos_weight : auto_pos_weight(events);
 
   Adam opt(store_, AdamOptions{.lr = config_.lr});
   std::vector<double> epoch_loss;

@@ -24,6 +24,16 @@ GnnModel::GnnModel(const IgnnConfig& cfg, std::uint64_t seed) : config(cfg) {
   gnn = std::make_unique<InteractionGnn>(store, cfg, rng);
 }
 
+bool EarlyStopping::update(double metric) {
+  if (metric > best_) {
+    best_ = metric;
+    bad_epochs_ = 0;
+    return true;
+  }
+  ++bad_epochs_;
+  return false;
+}
+
 double TrainResult::total_phase(const std::string& phase) const {
   double s = 0.0;
   for (const auto& e : epochs) s += e.timers.get(phase);
@@ -87,11 +97,8 @@ std::size_t full_graph_memory_estimate(const IgnnConfig& config,
 
 bool fits_memory_budget(const GnnTrainConfig& config, const IgnnConfig& gnn,
                         const Event& event) {
-  if (event.num_edges() > config.max_edges) return false;
-  if (config.memory_budget_bytes > 0 &&
-      full_graph_memory_estimate(gnn, event) > config.memory_budget_bytes)
-    return false;
-  return true;
+  return config.memory_budget_bytes == 0 ||
+         full_graph_memory_estimate(gnn, event) <= config.memory_budget_bytes;
 }
 
 namespace {
@@ -141,7 +148,7 @@ StepData whole_event(const Event& event) {
 
 /// zero_grad + forward + loss + backward; returns the loss value. Does NOT
 /// step the optimizer (DDP synchronises gradients in between).
-double compute_gradients(GnnModel& model, Optimizer& opt, const StepData& data,
+double compute_gradients(GnnModel& model, Adam& opt, const StepData& data,
                          float pos_weight) {
   opt.zero_grad();
   const Graph& graph = *data.graph;
@@ -160,7 +167,7 @@ double compute_gradients(GnnModel& model, Optimizer& opt, const StepData& data,
   return loss.value()(0, 0);
 }
 
-void apply_step(Optimizer& opt, float grad_clip) {
+void apply_step(Adam& opt, float grad_clip) {
   if (grad_clip > 0.0f) opt.clip_grad_norm(grad_clip);
   opt.step();
 }
@@ -509,8 +516,6 @@ void run_shadow_training(ShadowTrainContext ctx) {
           }
           {
             PhaseSpan phase(record.timers, "train");
-            if (config.scheduler)
-              config.scheduler->apply(*ctx.opt, global_step);
             apply_step(*ctx.opt, config.grad_clip);
           }
           ++global_step;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "dist/gradient_sync.hpp"
 #include "gnn/interaction_gnn.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/scheduler.hpp"
 #include "sampling/matrix_shadow.hpp"
 #include "sampling/shadow.hpp"
 #include "util/stats.hpp"
@@ -43,13 +41,9 @@ struct GnnTrainConfig {
   float pos_weight = 0.0f;       ///< 0 = auto from label imbalance
   float grad_clip = 5.0f;
   std::uint64_t seed = 3;
-  /// Full-graph mode: events with more edges than this are skipped, the
-  /// paper's GPU-memory-wall behaviour (Section III-B).
-  std::size_t max_edges = std::numeric_limits<std::size_t>::max();
-  /// Alternative memory-wall formulation: skip events whose estimated
-  /// training activation footprint (ignn_activation_estimate × 4 bytes ×
-  /// ~3 for gradients/workspace) exceeds this simulated device memory.
-  /// 0 disables. Both limits apply when set.
+  /// Full-graph mode's memory wall (the paper's Section III-B): events
+  /// whose estimated training footprint (full_graph_memory_estimate)
+  /// exceeds this simulated device memory are skipped. 0 disables.
   std::size_t memory_budget_bytes = 0;
   SyncStrategy sync = SyncStrategy::kCoalesced;
   /// Sampler/trainer overlap: the producer task samples and gathers up to
@@ -65,9 +59,6 @@ struct GnnTrainConfig {
   std::size_t prefetch_threads = 1;
   bool evaluate_every_epoch = true;
   float eval_threshold = 0.5f;
-  /// Optional learning-rate schedule, applied per optimizer step (shared
-  /// across DDP ranks). Null = constant config.lr.
-  std::shared_ptr<const LrScheduler> scheduler;
   /// Early stopping on validation F1 after this many non-improving
   /// epochs; 0 disables. Requires evaluate_every_epoch. In DDP the
   /// rank-0 decision is broadcast so all ranks stop together.
@@ -91,6 +82,33 @@ struct GnnTrainConfig {
   /// bit-identical to the uninterrupted run. A checkpoint written under a
   /// different run configuration is rejected with CheckpointError.
   bool resume = false;
+};
+
+/// Early stopping on a metric that should increase (validation F1).
+/// Call update() once per epoch; should_stop() flips after `patience`
+/// consecutive non-improving epochs.
+class EarlyStopping {
+ public:
+  explicit EarlyStopping(std::size_t patience) : patience_(patience) {}
+
+  /// Returns true if this value is a new best.
+  bool update(double metric);
+  bool should_stop() const { return bad_epochs_ >= patience_; }
+  double best() const { return best_; }
+  std::size_t epochs_since_best() const { return bad_epochs_; }
+
+  /// Reinstate a previously observed (best, bad_epochs) pair — the
+  /// checkpoint/resume path, so a resumed run stops at the same epoch the
+  /// uninterrupted run would have.
+  void restore(double best, std::size_t bad_epochs) {
+    best_ = best;
+    bad_epochs_ = bad_epochs;
+  }
+
+ private:
+  std::size_t patience_;
+  double best_ = -1e300;
+  std::size_t bad_epochs_ = 0;
 };
 
 /// One epoch of bookkeeping: loss, validation edge metrics (Figure 4), and
@@ -143,14 +161,14 @@ float auto_pos_weight(const std::vector<Event>& events);
 std::size_t full_graph_memory_estimate(const IgnnConfig& config,
                                        const Event& event);
 
-/// True if the event fits the config's memory limits for full-graph mode.
+/// True if the event fits the config's memory budget for full-graph mode.
 bool fits_memory_budget(const GnnTrainConfig& config, const IgnnConfig& gnn,
                         const Event& event);
 
 /// Full-graph training: one gradient step per event graph per epoch, the
 /// original Exa.TrkX regime, in the same epoch loop as ShaDow training
 /// (validation, model selection, early stopping, checkpoints). Graphs over
-/// config.max_edges / memory_budget_bytes are skipped (counted once in
+/// config.memory_budget_bytes are skipped (counted once in
 /// TrainResult::skipped_graphs); edgeless graphs take no step.
 TrainResult train_full_graph(GnnModel& model, const std::vector<Event>& train,
                              const std::vector<Event>& val,

@@ -139,22 +139,6 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
     verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
   }
 
-  // Materialise the stacked frontier matrix F (#roots × n) as in Figure 2.
-  {
-    std::vector<std::uint64_t> row_ptr(num_roots + 1, 0);
-    std::vector<std::uint32_t> col;
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      col.insert(col.end(), visited[r].begin(), visited[r].end());
-      row_ptr[r + 1] = col.size();
-    }
-    std::vector<float> val(col.size(), 1.0f);
-    // Built outside the lock; only the cache store is serialised against
-    // other prefetch workers sampling through the same sampler.
-    CsrMatrix frontier = CsrMatrix::from_csr(num_roots, n, std::move(row_ptr),
-                                             std::move(col), std::move(val));
-    LockGuard lock(frontier_mutex_);
-    last_frontier_ = std::move(frontier);
-  }
   return visited;
 }
 

@@ -2,7 +2,6 @@
 
 #include "sampling/shadow.hpp"
 #include "sparse/csr.hpp"
-#include "util/annotations.hpp"
 #include "util/timer.hpp"
 
 namespace trkx {
@@ -27,7 +26,9 @@ struct BulkSampleStats {
 ///   2. P = Q·A extracts each frontier vertex's neighbourhood as a row;
 ///      normalize_rows() turns it into a uniform distribution.
 ///   3. sample_rows() draws s distinct neighbours per row; every draw is
-///      recorded in the frontier matrix F (one row per *root*).
+///      recorded in the frontier F (one row per *root*), kept as one
+///      sorted vertex list per root (that root's component vertex_map)
+///      rather than as a CSR matrix.
 ///   4. The sampled nonzeros expand into the next Q (one nonzero per row),
 ///      and the process repeats for d levels.
 ///   5. Each root's induced subgraph is extracted from the *directed*
@@ -51,16 +52,6 @@ class MatrixShadowSampler {
       const std::vector<std::vector<std::uint32_t>>& batches, Rng& rng,
       BulkSampleStats* stats = nullptr) const;
 
-  /// The stacked frontier matrix F (#roots × n) from the most recent call
-  /// — row i holds every vertex root i's walk visited. Exposed for tests.
-  /// Returned by value: concurrent sample_bulk() calls (prefetch workers
-  /// share one sampler) overwrite the cache under frontier_mutex_, so a
-  /// reference would be a torn read.
-  CsrMatrix last_frontier() const {
-    LockGuard lock(frontier_mutex_);
-    return last_frontier_;
-  }
-
   const ShadowConfig& config() const { return config_; }
 
  private:
@@ -79,8 +70,6 @@ class MatrixShadowSampler {
   CsrMatrix sym_adj_;  ///< walk graph
   CsrMatrix dir_adj_;  ///< directed adjacency for component extraction
   ShadowConfig config_;
-  mutable Mutex frontier_mutex_;
-  mutable CsrMatrix last_frontier_ TRKX_GUARDED_BY(frontier_mutex_);
 };
 
 }  // namespace trkx

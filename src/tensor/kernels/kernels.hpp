@@ -34,8 +34,8 @@ struct AdamStep {
 ///   - ULP-bounded: gemm, gemm_nt, gemm_tn — the AVX2 microkernel
 ///     accumulates each output in the scalar k order but rounds once per
 ///     FMA step (only the n == 1 dot-product paths reassociate) — and
-///     spmm, rowwise_sum, layer_norm_fwd, layer_norm_bwd_dx (FMA and
-///     reassociated 8-lane reductions), and tanh_fwd (std::tanh in the
+///     spmm, layer_norm_fwd, layer_norm_bwd_dx (FMA and reassociated
+///     8-lane reductions), and tanh_fwd (std::tanh in the
 ///     scalar table, a polynomial/exp approximation in the AVX2 one; both
 ///     keep tanh(±0) = ±0, ±Inf → ±1 and NaN → NaN);
 ///   - The scalar GEMMs skip zero entries of A and the AVX2 GEMMs do not,
@@ -82,8 +82,6 @@ struct KernelTable {
   void (*ew_scale)(const float* a, float s, float* o, std::size_t n);
   /// a += b.
   void (*ew_add_inplace)(float* a, const float* b, std::size_t n);
-  /// a += s * b (mul-then-add, never FMA: stays bit-identical to scalar).
-  void (*ew_axpy)(float* a, float s, const float* b, std::size_t n);
 
   /// Activations (all outputs overwritten). relu_fwd: y = x > 0 ? x : 0,
   /// so NaN and -0 map to +0. relu_bwd: dx = x > 0 ? g : 0 from the
@@ -97,9 +95,6 @@ struct KernelTable {
   /// o (1×cols, accumulating) += column sums of a (rows×cols), in row
   /// order — the exact accumulation order of the historical serial loop.
   void (*colwise_sum)(const float* a, float* o, std::size_t rows,
-                      std::size_t cols);
-  /// o[i] = sum of row i (overwritten).
-  void (*rowwise_sum)(const float* a, float* o, std::size_t rows,
                       std::size_t cols);
 
   /// Per-row layer norm: writes y = xhat*gamma + beta, the pre-affine

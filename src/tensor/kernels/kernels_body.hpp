@@ -271,23 +271,6 @@ inline void vadd_inplace(float* a, const float* b, std::size_t n) {
 #endif
 }
 
-/// a += s * b. Deliberately mul-then-add (no FMA) so the result stays
-/// bit-identical to the scalar reference — gradient accumulation feeds
-/// the bit-identical-resume checkpoint guarantee.
-inline void vaxpy(float* a, float s, const float* b, std::size_t n) {
-#if TRKX_KERNELS_AVX2
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(vs, _mm256_loadu_ps(b + j));
-    _mm256_storeu_ps(a + j, _mm256_add_ps(_mm256_loadu_ps(a + j), prod));
-  }
-  for (; j < n; ++j) a[j] += s * b[j];
-#else
-  for (std::size_t j = 0; j < n; ++j) a[j] += s * b[j];
-#endif
-}
-
 /// o = a * g + b (exact: mul then add, no FMA — the layer-norm affine).
 inline void vmuladd3(const float* a, const float* g, const float* b, float* o,
                      std::size_t n) {
@@ -797,14 +780,6 @@ inline void ew_add_inplace(float* a, const float* b, std::size_t n) {
   }
 }
 
-inline void ew_axpy(float* a, float s, const float* b, std::size_t n) {
-#pragma omp parallel for schedule(static) default(none) shared(a, b) \
-    firstprivate(n, s)
-  for (std::size_t i0 = 0; i0 < n; i0 += kEwBlock) {
-    vaxpy(a + i0, s, b + i0, std::min(std::size_t{kEwBlock}, n - i0));
-  }
-}
-
 inline void relu_fwd(const float* x, float* y, std::size_t n) {
 #pragma omp parallel for schedule(static) default(none) shared(x, y) \
     firstprivate(n)
@@ -847,15 +822,6 @@ inline void colwise_sum(const float* a, float* o, std::size_t rows,
   // accumulation order matches the historical scalar loop exactly.
   for (std::size_t i = 0; i < rows; ++i) {
     vadd_inplace(o, a + i * cols, cols);
-  }
-}
-
-inline void rowwise_sum(const float* a, float* o, std::size_t rows,
-                        std::size_t cols) {
-#pragma omp parallel for schedule(static) default(none) shared(a, o) \
-    firstprivate(rows, cols)
-  for (std::size_t i = 0; i < rows; ++i) {
-    o[i] = sum_row(a + i * cols, cols);
   }
 }
 
@@ -916,9 +882,9 @@ inline const KernelTable& table() {
       TRKX_KERNELS_NAME, &gemm,     &gemm_nt,     &gemm_tn,
       &spmm,             &row_gather, &row_scatter_add,
       &ew_add,           &ew_sub,   &ew_mul,      &ew_scale,
-      &ew_add_inplace,   &ew_axpy,  &relu_fwd,    &relu_bwd,
-      &tanh_fwd,         &tanh_bwd, &colwise_sum, &rowwise_sum,
-      &layer_norm_fwd,   &layer_norm_bwd_dx, &adam_update,
+      &ew_add_inplace,   &relu_fwd, &relu_bwd,    &tanh_fwd,
+      &tanh_bwd,         &colwise_sum, &layer_norm_fwd,
+      &layer_norm_bwd_dx, &adam_update,
   };
   return t;
 }

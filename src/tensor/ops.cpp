@@ -86,20 +86,9 @@ void add_inplace(Matrix& a, const Matrix& b) {
   kernels::active().ew_add_inplace(a.data(), b.data(), a.size());
 }
 
-void axpy_inplace(Matrix& a, float s, const Matrix& b) {
-  TRKX_CHECK(a.same_shape(b));
-  kernels::active().ew_axpy(a.data(), s, b.data(), a.size());
-}
-
 Matrix colwise_sum(const Matrix& a) {
   Matrix out(1, a.cols(), 0.0f);
   kernels::active().colwise_sum(a.data(), out.data(), a.rows(), a.cols());
-  return out;
-}
-
-Matrix rowwise_sum(const Matrix& a) {
-  Matrix out = Matrix::uninit(a.rows(), 1);
-  kernels::active().rowwise_sum(a.data(), out.data(), a.rows(), a.cols());
   return out;
 }
 

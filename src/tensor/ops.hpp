@@ -29,13 +29,9 @@ Matrix hadamard(const Matrix& a, const Matrix& b);
 Matrix scale(const Matrix& a, float s);
 /// a += b
 void add_inplace(Matrix& a, const Matrix& b);
-/// a += s * b
-void axpy_inplace(Matrix& a, float s, const Matrix& b);
 
 /// 1×c column sums (the gradient of a row broadcast).
 Matrix colwise_sum(const Matrix& a);
-/// r×1 row sums.
-Matrix rowwise_sum(const Matrix& a);
 
 /// Horizontally concatenate blocks: [A B C ...]. All must share rows().
 Matrix concat_cols(const std::vector<const Matrix*>& blocks);

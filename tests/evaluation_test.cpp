@@ -55,72 +55,6 @@ TEST(RocAucTest, KnownHandValue) {
   EXPECT_DOUBLE_EQ(roc_auc(e), 0.75);
 }
 
-// ---------- threshold sweep ----------
-
-TEST(ThresholdSweepTest, MatchesDirectComputation) {
-  Rng rng(2);
-  ScoredEdges e;
-  for (int i = 0; i < 500; ++i)
-    e.add(rng.uniform(0.0f, 1.0f), rng.bernoulli(0.4));
-  const auto thresholds = uniform_thresholds(9);
-  const auto sweep = threshold_sweep(e, thresholds);
-  ASSERT_EQ(sweep.size(), 9u);
-  for (const auto& point : sweep) {
-    BinaryMetrics direct;
-    for (std::size_t i = 0; i < e.size(); ++i)
-      direct.add(e.scores[i] >= point.threshold, e.labels[i] != 0);
-    EXPECT_EQ(point.metrics.true_positives, direct.true_positives);
-    EXPECT_EQ(point.metrics.false_positives, direct.false_positives);
-    EXPECT_EQ(point.metrics.true_negatives, direct.true_negatives);
-    EXPECT_EQ(point.metrics.false_negatives, direct.false_negatives);
-  }
-}
-
-TEST(ThresholdSweepTest, RecallMonotoneNonIncreasing) {
-  Rng rng(3);
-  ScoredEdges e;
-  for (int i = 0; i < 300; ++i)
-    e.add(rng.uniform(0.0f, 1.0f), rng.bernoulli(0.5));
-  const auto sweep = threshold_sweep(e, uniform_thresholds(20));
-  for (std::size_t i = 1; i < sweep.size(); ++i)
-    EXPECT_LE(sweep[i].metrics.recall(), sweep[i - 1].metrics.recall());
-}
-
-TEST(ThresholdSweepTest, UniformThresholds) {
-  const auto t = uniform_thresholds(4);
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_FLOAT_EQ(t[0], 0.2f);
-  EXPECT_FLOAT_EQ(t[3], 0.8f);
-}
-
-TEST(ThresholdSweepTest, BestF1FindsSeparator) {
-  // Perfectly separable at 0.5: best F1 threshold must sit in (0.4, 0.6].
-  ScoredEdges e;
-  Rng rng(4);
-  for (int i = 0; i < 100; ++i) {
-    e.add(rng.uniform(0.6f, 0.99f), true);
-    e.add(rng.uniform(0.01f, 0.4f), false);
-  }
-  const auto best = best_f1_point(e, uniform_thresholds(19));
-  EXPECT_GE(best.threshold, 0.4f);
-  EXPECT_LE(best.threshold, 0.6f);
-  EXPECT_DOUBLE_EQ(best.metrics.f1(), 1.0);
-}
-
-TEST(ThresholdSweepTest, ZeroThresholdsRejected) {
-  EXPECT_THROW(uniform_thresholds(0), Error);
-}
-
-TEST(ThresholdSweepTest, UnsortedThresholdsRejected) {
-  ScoredEdges e = make_edges({{0.5f, true}});
-  EXPECT_THROW(threshold_sweep(e, {0.7f, 0.2f}), Error);
-}
-
-TEST(ThresholdSweepTest, EmptyEdgesGiveZeroCounts) {
-  const auto sweep = threshold_sweep(ScoredEdges{}, uniform_thresholds(3));
-  for (const auto& p : sweep) EXPECT_EQ(p.metrics.total(), 0u);
-}
-
 // ---------- model-level evaluation ----------
 
 TEST(EvaluationTest, ScoreEventsPoolsAllEdges) {

@@ -242,38 +242,6 @@ TEST(MlpTest, ParameterGradientsFlowToStore) {
 
 // ---------- optimizers ----------
 
-TEST(SgdTest, PlainStepMath) {
-  ParameterStore store;
-  Parameter& p = store.create("w", 1, 2);
-  p.value = Matrix{{1.0f, 2.0f}};
-  p.grad = Matrix{{0.5f, -1.0f}};
-  Sgd opt(store, SgdOptions{.lr = 0.1f});
-  opt.step();
-  EXPECT_NEAR(p.value(0, 0), 0.95f, 1e-6f);
-  EXPECT_NEAR(p.value(0, 1), 2.1f, 1e-6f);
-}
-
-TEST(SgdTest, MomentumAccumulates) {
-  ParameterStore store;
-  Parameter& p = store.create("w", 1, 1);
-  p.value = Matrix{{0.0f}};
-  p.grad = Matrix{{1.0f}};
-  Sgd opt(store, SgdOptions{.lr = 1.0f, .momentum = 0.5f});
-  opt.step();  // v=1, w=-1
-  opt.step();  // v=1.5, w=-2.5
-  EXPECT_NEAR(p.value(0, 0), -2.5f, 1e-6f);
-}
-
-TEST(SgdTest, WeightDecayShrinks) {
-  ParameterStore store;
-  Parameter& p = store.create("w", 1, 1);
-  p.value = Matrix{{10.0f}};
-  p.grad = Matrix{{0.0f}};
-  Sgd opt(store, SgdOptions{.lr = 0.1f, .weight_decay = 0.5f});
-  opt.step();
-  EXPECT_NEAR(p.value(0, 0), 10.0f - 0.1f * 0.5f * 10.0f, 1e-5f);
-}
-
 TEST(AdamTest, FirstStepIsLrSignedGradient) {
   ParameterStore store;
   Parameter& p = store.create("w", 1, 2);
@@ -300,20 +268,11 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   EXPECT_TRUE(allclose(p.value, target, 1e-2f, 1e-2f));
 }
 
-TEST(OptimizerTest, ScaleGrads) {
-  ParameterStore store;
-  Parameter& p = store.create("w", 1, 2);
-  p.grad = Matrix{{2.0f, 4.0f}};
-  Sgd opt(store, SgdOptions{});
-  opt.scale_grads(0.25f);
-  EXPECT_EQ(p.grad, (Matrix{{0.5f, 1.0f}}));
-}
-
 TEST(OptimizerTest, ClipGradNorm) {
   ParameterStore store;
   Parameter& p = store.create("w", 1, 2);
   p.grad = Matrix{{3.0f, 4.0f}};  // norm 5
-  Sgd opt(store, SgdOptions{});
+  Adam opt(store, AdamOptions{});
   const double pre = opt.clip_grad_norm(1.0);
   EXPECT_NEAR(pre, 5.0, 1e-6);
   double post = 0.0;
@@ -325,7 +284,7 @@ TEST(OptimizerTest, ClipNoopBelowThreshold) {
   ParameterStore store;
   Parameter& p = store.create("w", 1, 2);
   p.grad = Matrix{{0.3f, 0.4f}};
-  Sgd opt(store, SgdOptions{});
+  Adam opt(store, AdamOptions{});
   opt.clip_grad_norm(10.0);
   EXPECT_EQ(p.grad, (Matrix{{0.3f, 0.4f}}));
 }

@@ -163,15 +163,6 @@ TEST(Metrics, WriteJsonContainsEntries) {
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
 }
 
-TEST(Metrics, WriteCsvHasHeaderAndRows) {
-  metrics().counter("test.obs.csv_counter").add(1);
-  std::ostringstream os;
-  metrics().write_csv(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("kind,name,count,value"), std::string::npos);
-  EXPECT_NE(s.find("counter,test.obs.csv_counter"), std::string::npos);
-}
-
 // ---------- tracing ----------
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {

@@ -181,26 +181,6 @@ TEST(MatrixShadowTest, BulkEqualsConcatenatedStructure) {
   }
 }
 
-TEST(MatrixShadowTest, FrontierMatrixMatchesVisitedSets) {
-  Rng rng(16);
-  Graph g = erdos_renyi(40, 0.15, rng);
-  ShadowConfig cfg{.depth = 2, .fanout = 3};
-  MatrixShadowSampler mat(g, cfg);
-  const std::vector<std::uint32_t> batch{2, 7, 33};
-  ShadowSample s = mat.sample(batch, rng);
-  const CsrMatrix& f = mat.last_frontier();
-  EXPECT_EQ(f.rows(), 3u);
-  EXPECT_EQ(f.cols(), 40u);
-  // Row i of F = vertex set of component i.
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::vector<std::uint32_t> comp_verts;
-    for (std::size_t v = 0; v < s.sub.graph.num_vertices(); ++v)
-      if (s.component_of[v] == i) comp_verts.push_back(s.sub.vertex_map[v]);
-    std::sort(comp_verts.begin(), comp_verts.end());
-    EXPECT_EQ(f.row_cols(i), comp_verts);
-  }
-}
-
 TEST(MatrixShadowTest, StatsAreAccumulated) {
   Rng rng(17);
   Graph g = erdos_renyi(50, 0.2, rng);

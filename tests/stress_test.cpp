@@ -112,8 +112,6 @@ TEST(MetricsStressTest, ConcurrentWritersAndExporters) {
     while (!stop.load()) {
       std::ostringstream os;
       reg.write_json(os);
-      std::ostringstream cs;
-      reg.write_csv(cs);
     }
   });
   for (auto& w : writers) w.join();
@@ -344,11 +342,9 @@ TEST(DistStressTest, ConcurrentCollectivesInterleaveCleanly) {
 
 // ---------- MatrixShadowSampler ----------
 
-// Regression for a race TSan caught in the pipelined-determinism tests:
-// prefetch workers share one sampler, and every sample_bulk() call stores
-// the last_frontier_ cache through a const method. The concurrent
-// CsrMatrix move-assignments tore until the cache went behind
-// frontier_mutex_; this drives the same schedule directly.
+// Prefetch workers share one sampler per event and call the const
+// sample_bulk() concurrently; this drives that schedule directly so the
+// tsan-stress leg sees any shared state a sampling call writes.
 TEST(ShadowSamplerStressTest, SharedSamplerConcurrentBulkSampling) {
   Rng graph_rng(99);
   const Graph g = erdos_renyi(64, 0.12, graph_rng);
@@ -366,16 +362,7 @@ TEST(ShadowSamplerStressTest, SharedSamplerConcurrentBulkSampling) {
         total += sampler.sample_bulk({{0, 1, 2}, {3, 4}}, rng).size();
     });
   }
-  // Reader races the writers through the locked accessor; the frontier is
-  // either empty (no call finished yet) or stacked over the 5 roots.
-  std::thread reader([&sampler, rounds] {
-    for (int i = 0; i < rounds; ++i) {
-      const CsrMatrix f = sampler.last_frontier();
-      EXPECT_TRUE(f.rows() == 0 || f.rows() == 5u);
-    }
-  });
   for (auto& w : workers) w.join();
-  reader.join();
   EXPECT_EQ(total.load(), static_cast<std::size_t>(kThreads) * rounds * 2);
 }
 

@@ -188,8 +188,6 @@ TEST(OpsTest, InplaceVariants) {
   Matrix a{{1, 1}};
   add_inplace(a, Matrix{{2, 3}});
   EXPECT_EQ(a, (Matrix{{3, 4}}));
-  axpy_inplace(a, 0.5f, Matrix{{2, 2}});
-  EXPECT_EQ(a, (Matrix{{4, 5}}));
 }
 
 TEST(OpsTest, ShapeMismatchThrows) {
@@ -201,7 +199,6 @@ TEST(OpsTest, ShapeMismatchThrows) {
 TEST(OpsTest, RowBroadcastAndColSum) {
   Matrix a{{1, 2}, {3, 4}};
   EXPECT_EQ(colwise_sum(a), (Matrix{{4, 6}}));
-  EXPECT_EQ(rowwise_sum(a), (Matrix{{3}, {7}}));
 }
 
 // ---------- concat / slice ----------

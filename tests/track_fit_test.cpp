@@ -152,7 +152,8 @@ TEST(TrackFitTest, UnmatchedCandidatesIgnored) {
 }
 
 TEST(TrackFitTest, MemoryBudgetSkipLogic) {
-  // fits_memory_budget respects both the edge cap and the byte budget.
+  // fits_memory_budget admits an event exactly when its estimated
+  // footprint is within the byte budget; 0 means no budget.
   DetectorConfig cfg;
   cfg.mean_particles = 15.0;
   Rng rng(5);
@@ -164,12 +165,12 @@ TEST(TrackFitTest, MemoryBudgetSkipLogic) {
   gnn.num_layers = 8;
   GnnTrainConfig tc;
   EXPECT_TRUE(fits_memory_budget(tc, gnn, e));
-  tc.max_edges = 1;
+  const std::size_t need = full_graph_memory_estimate(gnn, e);
+  tc.memory_budget_bytes = need - 1;
   EXPECT_FALSE(fits_memory_budget(tc, gnn, e));
-  tc.max_edges = std::numeric_limits<std::size_t>::max();
   tc.memory_budget_bytes = 1;  // nothing fits a 1-byte GPU
   EXPECT_FALSE(fits_memory_budget(tc, gnn, e));
-  tc.memory_budget_bytes = full_graph_memory_estimate(gnn, e) + 1;
+  tc.memory_budget_bytes = need;
   EXPECT_TRUE(fits_memory_budget(tc, gnn, e));
 }
 
