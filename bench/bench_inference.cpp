@@ -4,8 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench_gb_json.hpp"
 
+#include "detector/presets.hpp"
+#include "pipeline/graph_construction.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/track_fit.hpp"
 
@@ -109,6 +113,68 @@ void BM_TrackFitOnly(benchmark::State& state) {
   state.counters["tracks"] = static_cast<double>(tracks.size());
 }
 BENCHMARK(BM_TrackFitOnly)->Iterations(50)->Unit(benchmark::kMicrosecond);
+
+// Stage 2 alone: build_frnn_graph on a learned embedding, as
+// rebuild_event_graph calls it. Arg 0 is the serving shape of perfbench's
+// serve-steady replica: Ex3 scale-0.015 events within 3 % of 193 hits,
+// the default 4-d embedding trained for 8 epochs on 4 of them, radius
+// 0.4. Arg 1 is an Ex3 scale-1 event (~12.8K hits) through the same
+// embedding.
+struct FrnnFixture {
+  std::vector<Matrix> points;
+  std::vector<std::vector<std::uint32_t>> layers;
+  FrnnConfig config;
+
+  FrnnFixture() {
+    const DetectorConfig serving = ex3_spec(0.015).detector;
+    Rng rng(23);
+    auto served_size = [&] {
+      for (;;) {
+        Rng er = rng.split();
+        Event e = generate_event(serving, er);
+        if (std::abs(static_cast<double>(e.num_hits()) - 193.0) <= 0.03 * 193)
+          return e;
+      }
+    };
+    std::vector<Event> train;
+    for (int i = 0; i < 4; ++i) train.push_back(served_size());
+    EmbeddingModel embedding(train[0].node_features.cols(), EmbeddingConfig{});
+    embedding.train(train);
+    Rng fr = rng.split();
+    for (const Event& e :
+         {served_size(), generate_event(ex3_spec(1.0).detector, fr)}) {
+      points.push_back(embedding.embed(e.node_features));
+      std::vector<std::uint32_t>& l = layers.emplace_back();
+      for (const Hit& h : e.hits) l.push_back(h.layer);
+    }
+    config.radius = 0.4f;
+  }
+};
+
+template <auto build>
+void run_frnn(benchmark::State& state) {
+  static const FrnnFixture f;
+  const auto i = static_cast<std::size_t>(state.range(0));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const Graph g = build(f.points[i], f.config, f.layers[i]);
+    edges = g.num_edges();
+    benchmark::DoNotOptimize(g);
+  }
+  state.counters["hits"] = static_cast<double>(f.points[i].rows());
+  state.counters["edges"] = static_cast<double>(edges);
+}
+
+void BM_FrnnGraph(benchmark::State& state) {
+  run_frnn<build_frnn_graph>(state);
+}
+BENCHMARK(BM_FrnnGraph)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The O(n²) oracle at the serving shape, as the reference point.
+void BM_FrnnGraphBruteForce(benchmark::State& state) {
+  run_frnn<build_frnn_graph_bruteforce>(state);
+}
+BENCHMARK(BM_FrnnGraphBruteForce)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace trkx

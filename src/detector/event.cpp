@@ -1,6 +1,7 @@
 #include "detector/event.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -48,10 +49,15 @@ void build_features(Event& event, std::size_t node_dim, std::size_t edge_dim,
   const float inv_z_max = 1.0f / scales.z_max;
   const float inv_eta_max = 1.0f / scales.eta_max;
 
+  // r, φ and η once per hit; the edge loop reads them for both endpoints.
+  std::vector<float> hit_r(n), hit_phi(n), hit_eta(n);
   event.node_features.resize(n, node_dim);
   for (std::size_t i = 0; i < n; ++i) {
     const Hit& h = event.hits[i];
     const float r = h.r(), phi = h.phi(), eta = h.eta();
+    hit_r[i] = r;
+    hit_phi[i] = phi;
+    hit_eta[i] = eta;
     // Candidate pool; the first node_dim entries are used.
     const float pool[14] = {
         r * inv_r_max,
@@ -77,14 +83,14 @@ void build_features(Event& event, std::size_t node_dim, std::size_t edge_dim,
 
   event.edge_features.resize(m, edge_dim);
   for (std::size_t e = 0; e < m; ++e) {
-    const Hit& a = event.hits[event.graph.edge(e).src];
-    const Hit& b = event.hits[event.graph.edge(e).dst];
-    const float dr = b.r() - a.r();
-    const float dphi = wrap_angle(b.phi() - a.phi());
-    const float dz = b.z - a.z;
-    const float deta = b.eta() - a.eta();
+    const std::uint32_t a = event.graph.edge(e).src;
+    const std::uint32_t b = event.graph.edge(e).dst;
+    const float dr = hit_r[b] - hit_r[a];
+    const float dphi = wrap_angle(hit_phi[b] - hit_phi[a]);
+    const float dz = event.hits[b].z - event.hits[a].z;
+    const float deta = hit_eta[b] - hit_eta[a];
     const float dR = std::sqrt(deta * deta + dphi * dphi);
-    const float mid_r = 0.5f * (a.r() + b.r());
+    const float mid_r = 0.5f * (hit_r[a] + hit_r[b]);
     const float pool[8] = {
         dr * inv_r_max,
         dphi * inv_pi,

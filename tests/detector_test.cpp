@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "detector/helix.hpp"
 #include "detector/presets.hpp"
+#include "pipeline/graph_construction.hpp"
 #include "util/rng.hpp"
 
 namespace trkx {
@@ -384,6 +387,122 @@ TEST(DatasetTest, DeterministicGivenSeed) {
   Dataset b = generate_dataset("t", cfg, 2, 1, 0, 44);
   EXPECT_EQ(a.train[1].node_features, b.train[1].node_features);
   EXPECT_EQ(a.val[0].edge_labels, b.val[0].edge_labels);
+}
+
+// ---------- feature oracle ----------
+
+// build_features as it was first written: r, φ and η recomputed through
+// Hit::r(), phi() and eta() for both endpoints of every edge.
+void reference_features(const Event& event, std::size_t node_dim,
+                        std::size_t edge_dim, const FeatureScales& scales,
+                        std::size_t num_layers, Matrix& node, Matrix& edge) {
+  const float pi = static_cast<float>(M_PI);
+  auto wrap = [pi](float d) {
+    while (d > pi) d -= 2.0f * pi;
+    while (d <= -pi) d += 2.0f * pi;
+    return d;
+  };
+  const float inv_pi = 1.0f / pi;
+  const float inv_r_max = 1.0f / scales.r_max;
+  const float inv_z_max = 1.0f / scales.z_max;
+  const float inv_eta_max = 1.0f / scales.eta_max;
+  node = Matrix(event.hits.size(), node_dim);
+  for (std::size_t i = 0; i < event.hits.size(); ++i) {
+    const Hit& h = event.hits[i];
+    const float r = h.r(), phi = h.phi(), eta = h.eta();
+    const float pool[14] = {
+        r * inv_r_max, phi * inv_pi, h.z * inv_z_max, eta * inv_eta_max,
+        std::cos(phi), std::sin(phi),
+        static_cast<float>(h.layer) /
+            static_cast<float>(num_layers > 1 ? num_layers - 1 : 1),
+        h.x * inv_r_max, h.y * inv_r_max, r > 0.0f ? h.z / r : 0.0f,
+        std::tanh(eta), (r * inv_r_max) * (r * inv_r_max),
+        std::cos(2.0f * phi), std::sin(2.0f * phi)};
+    for (std::size_t j = 0; j < node_dim; ++j) node(i, j) = pool[j];
+  }
+  edge = Matrix(event.graph.num_edges(), edge_dim);
+  for (std::size_t e = 0; e < event.graph.num_edges(); ++e) {
+    const Hit& a = event.hits[event.graph.edge(e).src];
+    const Hit& b = event.hits[event.graph.edge(e).dst];
+    const float dr = b.r() - a.r();
+    const float dphi = wrap(b.phi() - a.phi());
+    const float dz = b.z - a.z;
+    const float deta = b.eta() - a.eta();
+    const float pool[8] = {
+        dr * inv_r_max, dphi * inv_pi, dz * inv_z_max, deta * inv_eta_max,
+        std::sqrt(deta * deta + dphi * dphi), 0.5f * (a.r() + b.r()) * inv_r_max,
+        std::fabs(dr) > 1e-3f ? dz / dr : 0.0f,
+        std::fabs(dr) > 1e-3f ? dphi / (dr * inv_r_max) : 0.0f};
+    for (std::size_t j = 0; j < edge_dim; ++j) edge(e, j) = pool[j];
+  }
+}
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::size_t layer_count(const Event& e) {
+  std::size_t n = 1;
+  for (const Hit& h : e.hits) n = std::max<std::size_t>(n, h.layer + 1);
+  return n;
+}
+
+// build_features must equal the reference byte for byte.
+void expect_features_match_reference(Event event, const FeatureScales& scales) {
+  const std::size_t nd = event.node_features.cols();
+  const std::size_t ed = event.edge_features.cols();
+  ASSERT_GT(event.graph.num_edges(), 0u);
+  build_features(event, nd, ed, scales, layer_count(event));
+  Matrix node, edge;
+  reference_features(event, nd, ed, scales, layer_count(event), node, edge);
+  EXPECT_TRUE(same_bytes(event.node_features, node));
+  EXPECT_TRUE(same_bytes(event.edge_features, edge));
+}
+
+FeatureScales test_scales() {
+  FeatureScales s;
+  s.r_max = 1013.5f;
+  s.z_max = 1977.25f;
+  s.eta_max = 4.5f;
+  return s;
+}
+
+TEST(FeatureOracle, Ex3EventMatchesPerEndpointFormula) {
+  Rng rng(71);
+  const Event e = generate_event(ex3_spec(0.02).detector, rng);
+  EXPECT_EQ(e.node_features.cols(), 6u);
+  EXPECT_EQ(e.edge_features.cols(), 2u);
+  expect_features_match_reference(e, test_scales());
+}
+
+TEST(FeatureOracle, CtdEventUsesEveryPoolEntry) {
+  Rng rng(72);
+  const Event e = generate_event(ctd_spec(0.002).detector, rng);
+  EXPECT_EQ(e.node_features.cols(), 14u);
+  EXPECT_EQ(e.edge_features.cols(), 8u);
+  expect_features_match_reference(e, test_scales());
+}
+
+TEST(FeatureOracle, RebuiltGraphMatchesPerEndpointFormula) {
+  Rng rng(73);
+  DetectorConfig cfg = ctd_spec(0.002).detector;
+  Event e = generate_event(cfg, rng);
+  // Scaled positions as the embedding: a new edge set over the same hits.
+  Matrix pos(e.hits.size(), 3);
+  for (std::size_t i = 0; i < e.hits.size(); ++i) {
+    pos(i, 0) = e.hits[i].x / 100.0f;
+    pos(i, 1) = e.hits[i].y / 100.0f;
+    pos(i, 2) = e.hits[i].z / 100.0f;
+  }
+  FrnnConfig frnn;
+  frnn.radius = 2.0f;
+  rebuild_event_graph(e, pos, frnn, 8, test_scales());
+  ASSERT_GT(e.graph.num_edges(), 0u);
+  Matrix node, edge;
+  reference_features(e, 14, 8, test_scales(), layer_count(e), node, edge);
+  EXPECT_TRUE(same_bytes(e.node_features, node));
+  EXPECT_TRUE(same_bytes(e.edge_features, edge));
 }
 
 // ---------- presets ----------

@@ -117,6 +117,148 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(200, 4, 0.5), std::make_tuple(30, 6, 0.8),
                       std::make_tuple(10, 2, 10.0)));
 
+// The sorted-cell search must equal the brute force edge for edge at
+// binding caps, where which neighbours are kept depends on the (d², j)
+// tie order.
+void expect_frnn_matches_bruteforce(const Matrix& pts, float radius,
+                                    const std::vector<std::uint32_t>& layers =
+                                        {}) {
+  for (std::size_t cap : {1u, 2u, 64u}) {
+    FrnnConfig cfg;
+    cfg.radius = radius;
+    cfg.max_neighbors = cap;
+    const Graph a = build_frnn_graph(pts, cfg, layers);
+    const Graph b = build_frnn_graph_bruteforce(pts, cfg, layers);
+    EXPECT_EQ(a.num_vertices(), b.num_vertices());
+    EXPECT_TRUE(a.edges() == b.edges())
+        << pts.rows() << "x" << pts.cols() << " points, radius " << radius
+        << ", cap " << cap << ": " << a.num_edges() << " vs "
+        << b.num_edges() << " edges";
+  }
+}
+
+// Edges the brute force keeps with no cap, to show a cap binds.
+std::size_t uncapped_edges(const Matrix& pts, float radius) {
+  FrnnConfig cfg;
+  cfg.radius = radius;
+  cfg.max_neighbors = pts.rows();
+  return build_frnn_graph_bruteforce(pts, cfg).num_edges();
+}
+
+TEST(FrnnOracle, LatticeTiesAndPairsAtTheRadius) {
+  // Integer and 0.1-spaced lattices, partly negative: many neighbours at
+  // exactly equal distances, and neighbours at exactly the radius.
+  for (float spacing : {1.0f, 0.1f}) {
+    for (std::size_t dim : {2u, 3u}) {
+      const std::size_t side = dim == 2 ? 9 : 5;
+      std::size_t n = 1;
+      for (std::size_t k = 0; k < dim; ++k) n *= side;
+      Matrix pts(n, dim);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t k = 0, u = i; k < dim; ++k, u /= side)
+          pts(i, k) = (static_cast<float>(u % side) - 3.0f) * spacing;
+      for (float radius : {spacing, spacing * std::sqrt(2.0f), 2 * spacing})
+        expect_frnn_matches_bruteforce(pts, radius);
+      FrnnConfig one;
+      one.radius = spacing;
+      one.max_neighbors = 1;
+      EXPECT_LT(build_frnn_graph_bruteforce(pts, one).num_edges(),
+                uncapped_edges(pts, spacing));
+    }
+  }
+}
+
+TEST(FrnnOracle, PairsTheFloatTestAcceptsJustBeyondTheRadius) {
+  // The pairs are r + 2^-26 apart along dimension 0, but the float
+  // difference rounds to r and d² to r², so the brute force keeps them.
+  // x = 2r and x = r − 2^-26 lie two radius-wide cells apart, so the
+  // search must look beyond radius-wide cells.
+  const float r = 0.25f, below_r = 0.249999985f;
+  for (const auto& [y0, y1] : {std::pair{0.2186836f, 0.218675613f},
+                               std::pair{-0.877480924f, -0.877501547f},
+                               std::pair{0.858435392f, 0.858380556f}}) {
+    const Matrix pts{{2 * r, y0}, {below_r, y1}};
+    FrnnConfig cfg;
+    cfg.radius = r;
+    ASSERT_EQ(build_frnn_graph_bruteforce(pts, cfg).num_edges(), 1u);
+    expect_frnn_matches_bruteforce(pts, r);
+  }
+}
+
+TEST(FrnnOracle, DuplicatePointsAndNegativeCoordinates) {
+  Rng rng(41);
+  Matrix pts = Matrix::random_uniform(120, 3, rng, -2.0f, 2.0f);
+  // Every fourth point repeats an earlier one, some of them three times.
+  for (std::size_t i = 4; i < pts.rows(); i += 4)
+    for (std::size_t k = 0; k < 3; ++k) pts(i, k) = pts(i / 8, k);
+  expect_frnn_matches_bruteforce(pts, 0.6f);
+}
+
+TEST(FrnnOracle, DimensionsAndTinyInputs) {
+  for (std::size_t dim : {1u, 2u, 4u, 8u}) {
+    for (std::size_t n : {0u, 1u, 2u}) {
+      Rng rng(50 + dim * 3 + n);
+      expect_frnn_matches_bruteforce(
+          Matrix::random_uniform(n, dim, rng, -0.2f, 0.2f), 0.5f);
+    }
+    Rng rng(60 + dim);
+    expect_frnn_matches_bruteforce(
+        Matrix::random_uniform(300, dim, rng, -1.0f, 1.0f),
+        dim == 1 ? 0.01f : 0.3f * static_cast<float>(dim));
+  }
+}
+
+TEST(FrnnOracle, ClusteredPointsFillCells) {
+  // ~5,000 points in 40 tight clusters: each cell holds many points.
+  Rng rng(42);
+  const std::size_t clusters = 40, per = 125;
+  Matrix pts(clusters * per, 4);
+  for (std::size_t c = 0; c < clusters; ++c) {
+    float centre[4];
+    for (float& x : centre) x = rng.uniform(-3.0f, 3.0f);
+    for (std::size_t i = 0; i < per; ++i)
+      for (std::size_t k = 0; k < 4; ++k)
+        pts(c * per + i, k) =
+            centre[k] + static_cast<float>(rng.normal(0.0, 0.08));
+  }
+  expect_frnn_matches_bruteforce(pts, 0.4f);
+  FrnnConfig cap64;
+  cap64.radius = 0.4f;
+  EXPECT_LT(build_frnn_graph_bruteforce(pts, cap64).num_edges(),
+            uncapped_edges(pts, 0.4f));
+}
+
+TEST(FrnnOracle, LayerOrientation) {
+  Rng rng(43);
+  Matrix pts = Matrix::random_uniform(200, 4, rng, 0.0f, 2.0f);
+  std::vector<std::uint32_t> layers(pts.rows());
+  for (std::uint32_t& l : layers)
+    l = static_cast<std::uint32_t>(rng.uniform_index(5));
+  expect_frnn_matches_bruteforce(pts, 0.5f, layers);
+}
+
+TEST(FrnnOracle, NanRowAndFarOutliers) {
+  // A NaN row never connects; 1e30 outliers (beyond any int32 cell index)
+  // still connect to each other, and a lone one to nothing.
+  Rng rng(44);
+  Matrix pts = Matrix::random_uniform(150, 3, rng, -1.0f, 1.0f);
+  for (std::size_t k = 0; k < 3; ++k) {
+    pts(10, k) = std::numeric_limits<float>::quiet_NaN();
+    pts(20, k) = 1e30f;
+    pts(21, k) = 1e30f;
+    pts(30, k) = k == 0 ? -1e30f : pts(31, k);
+  }
+  expect_frnn_matches_bruteforce(pts, 0.5f);
+  FrnnConfig cfg;
+  cfg.radius = 0.5f;
+  const Graph g = build_frnn_graph(pts, cfg);
+  EXPECT_NE(g.find_edge(20, 21), Graph::kNoEdge);
+  for (const Edge& e : g.edges()) {
+    EXPECT_NE(e.src, 10u);
+    EXPECT_NE(e.dst, 10u);
+  }
+}
+
 TEST(FrnnTest, EdgesWithinRadius) {
   Rng rng(5);
   Matrix pts = Matrix::random_uniform(80, 3, rng);

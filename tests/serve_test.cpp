@@ -536,7 +536,11 @@ TEST_F(ServeTest, ServedRequestEqualsOfflineReconstruct) {
 TEST_F(ServeTest, SkipFitServesOfflineTracksWithoutFits) {
   // Every occupancy reading escalates and the ladder tops out at
   // skip-fit, so each request runs at level 2 with the configured filter
-  // cut: offline tracks, no fits.
+  // cut: offline tracks, no fits. Level 2 takes two ladder updates, one
+  // by the submitter after its push and one by the worker after its pop;
+  // the first request may see only the worker's, so it is an unchecked
+  // warm-up. Once it completes both have run and the ladder, which never
+  // falls (low < 0), is pinned at max_level for every checked request.
   auto replicas = make_replicas();
   serve::ServeConfig cfg;
   cfg.workers = 1;
@@ -548,6 +552,7 @@ TEST_F(ServeTest, SkipFitServesOfflineTracksWithoutFits) {
   serve::ServeServer server(*replicas, cfg);
   server.start();
   const TrackingPipeline& replica = *replicas->acquire()->pipeline;
+  server.submit(payloads_.front(), serve::Priority::kNormal).get();
   for (const Event& e : payloads_) {
     const serve::ServeResult r =
         server.submit(e, serve::Priority::kNormal).get();
