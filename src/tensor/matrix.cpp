@@ -4,7 +4,39 @@
 #include <cmath>
 #include <sstream>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace trkx {
+
+namespace {
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+/// Tensor memory policy, set once before main() in every binary that links
+/// Matrix. ShaDow changes every tensor's shape at every step, and under
+/// glibc's defaults the heap hands each step's freed buffers back to the
+/// kernel for the next step to fault in again. Here blocks under the mmap
+/// threshold come from the heap, and the heap keeps up to the trim
+/// threshold of free memory, so a step reuses the pages the last one
+/// freed. One arena, or a batch that a prefetch producer allocates and a
+/// rank frees would stay resident in the producer's arena (DESIGN §6d).
+/// These calls replace whatever the environment (GLIBC_TUNABLES,
+/// MALLOC_ARENA_MAX, ...) set for the same three settings. ASan and TSan
+/// replace malloc and ignore mallopt.
+constexpr int kMmapThresholdBytes = 32 << 20;  // glibc's 64-bit maximum
+constexpr int kTrimThresholdBytes = 256 << 20;
+
+[[maybe_unused]] const bool kResidentTensorMemory = [] {
+  mallopt(M_ARENA_MAX, 1);
+  mallopt(M_MMAP_THRESHOLD, kMmapThresholdBytes);
+  mallopt(M_TRIM_THRESHOLD, kTrimThresholdBytes);
+  return true;
+}();
+#endif
+
+}  // namespace
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<float>> rows) {
   rows_ = rows.size();
