@@ -5,7 +5,9 @@
 
 #include "graph/generators.hpp"
 #include "sampling/matrix_shadow.hpp"
+#include "sampling/nodewise.hpp"
 #include "sampling/shadow.hpp"
+#include "util/codec.hpp"
 
 namespace trkx {
 namespace {
@@ -256,6 +258,78 @@ TEST(MatrixShadowTest, InvalidConfigThrows) {
   Graph g = path_graph(4);
   EXPECT_THROW(MatrixShadowSampler(g, {.depth = 0, .fanout = 2}), Error);
   EXPECT_THROW(ShadowSampler(g, {.depth = 2, .fanout = 0}), Error);
+}
+
+// ---------- pinned sample bytes ----------
+
+/// CRC-32 over every field of `s`, continuing `crc`. Each field is
+/// prefixed by its byte length so that field boundaries count.
+std::uint32_t digest(const ShadowSample& s, std::uint32_t crc) {
+  const auto put = [&crc](const auto& v) {
+    const std::uint64_t bytes = v.size() * sizeof(v[0]);
+    crc = crc32(&bytes, sizeof bytes, crc);
+    crc = crc32(v.data(), bytes, crc);
+  };
+  put(s.roots);
+  put(s.component_of);
+  put(s.sub.vertex_map);
+  put(s.sub.edge_map);
+  put(s.sub.graph.edges());
+  const std::uint64_t n = s.sub.graph.num_vertices();
+  return crc32(&n, sizeof n, crc);
+}
+
+// 90 connected vertices with parallel edges and self-loops, then 10
+// isolated ones.
+Graph multigraph_with_isolates() {
+  Rng rng(2602);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 400; ++i) {
+    const auto u = static_cast<std::uint32_t>(rng.uniform_index(90));
+    const auto v = static_cast<std::uint32_t>(rng.uniform_index(90));
+    edges.push_back({u, v});
+    if (i % 9 == 0) edges.push_back({u, v});
+    if (i % 13 == 0) edges.push_back({u, u});
+  }
+  return Graph(100, std::move(edges));
+}
+
+// Resume, perfbench's exact-repeat values and the served replica all
+// depend on the bytes every sampler draws for a given seed. These digests
+// pin them across commits: a sampler change that moves one byte fails
+// here, whatever else it keeps.
+TEST(SampleBytesTest, DigestsArePinned) {
+  Rng er_rng(2601);
+  const std::vector<Graph> graphs{erdos_renyi(120, 0.06, er_rng),
+                                  multigraph_with_isolates()};
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {1, 2}, {2, 4}, {3, 6}};
+  std::uint32_t shadow = 0, matrix = 0, bulk = 0, nodewise = 0;
+  for (const Graph& g : graphs) {
+    for (const auto& [d, s] : shapes) {
+      const ShadowConfig cfg{.depth = d, .fanout = s};
+      std::vector<std::size_t> fanouts;
+      for (std::size_t l = 0; l < d; ++l) fanouts.push_back(s - l);
+      for (std::uint64_t seed : {1, 2, 3}) {
+        Rng batch_rng(seed);
+        auto batches = make_minibatches(g.num_vertices(), 16, batch_rng);
+        batches.resize(3);
+        Rng r1(seed), r2(seed), r3(seed), r4(seed);
+        shadow = digest(ShadowSampler(g, cfg).sample(batches[0], r1), shadow);
+        const MatrixShadowSampler mat(g, cfg);
+        matrix = digest(mat.sample(batches[0], r2), matrix);
+        for (const ShadowSample& x : mat.sample_bulk(batches, r3))
+          bulk = digest(x, bulk);
+        nodewise = digest(
+            NodewiseSampler(g, {.fanouts = fanouts}).sample(batches[0], r4),
+            nodewise);
+      }
+    }
+  }
+  EXPECT_EQ(shadow, 0xcf85acc8u) << std::hex << shadow;
+  EXPECT_EQ(matrix, 0x0f472850u) << std::hex << matrix;
+  EXPECT_EQ(bulk, 0x649df3e5u) << std::hex << bulk;
+  EXPECT_EQ(nodewise, 0x2021294eu) << std::hex << nodewise;
 }
 
 }  // namespace
