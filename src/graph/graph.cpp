@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -101,64 +100,47 @@ double Graph::average_degree() const {
 
 InducedSubgraph induced_subgraph(const Graph& parent,
                                  const std::vector<std::uint32_t>& vertices) {
-  // Hash remap keeps this O(Σ out_degree) — independent of the parent's
-  // total edge count, which matters when ShaDow extracts hundreds of small
-  // components per minibatch from a large event graph.
-  std::unordered_map<std::uint32_t, std::uint32_t> remap;
-  remap.reserve(vertices.size() * 2);
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    TRKX_CHECK(vertices[i] < parent.num_vertices());
-    const bool inserted =
-        remap.emplace(vertices[i], static_cast<std::uint32_t>(i)).second;
-    TRKX_CHECK_MSG(inserted, "duplicate vertex in induced_subgraph selection");
-  }
-  // Collect internal edges sorted by parent edge index (preserving the
-  // parent's edge order in the output, matching the full-scan semantics).
-  std::vector<std::pair<std::uint32_t, Edge>> found;  // (parent edge, sub edge)
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    for (const Graph::OutEdge& oe : parent.out_edges(vertices[i])) {
-      const auto it = remap.find(oe.dst);
-      if (it == remap.end()) continue;
-      found.emplace_back(oe.edge,
-                         Edge{static_cast<std::uint32_t>(i), it->second});
-    }
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  InducedSubgraph out;
-  out.vertex_map = vertices;
-  std::vector<Edge> sub_edges;
-  sub_edges.reserve(found.size());
-  out.edge_map.reserve(found.size());
-  for (const auto& [pe, e] : found) {
-    sub_edges.push_back(e);
-    out.edge_map.push_back(pe);
-  }
-  out.graph = Graph(vertices.size(), std::move(sub_edges));
-  return out;
+  return induced_union(parent, {&vertices, 1});
 }
 
-InducedSubgraph disjoint_union(const std::vector<InducedSubgraph>& parts) {
+InducedSubgraph induced_union(
+    const Graph& parent, std::span<const std::vector<std::uint32_t>> parts) {
+  // One parent-sized remap serves every part: set for the part's vertices,
+  // read through the CSR out-edge index, then reset. Extraction costs
+  // O(Σ out_degree) per part, whatever the parent's edge count, and
+  // allocates nothing per part.
+  constexpr std::uint32_t kUnset = 0xffffffffu;
+  std::vector<std::uint32_t> remap(parent.num_vertices(), kUnset);
+  std::size_t n = 0;
+  for (const auto& part : parts) n += part.size();
+  TRKX_CHECK(n < kUnset);
   InducedSubgraph out;
-  std::size_t n = 0, m = 0;
-  for (const auto& p : parts) {
-    n += p.graph.num_vertices();
-    m += p.graph.num_edges();
-  }
-  std::vector<Edge> edges;
-  edges.reserve(m);
   out.vertex_map.reserve(n);
-  out.edge_map.reserve(m);
-  std::uint32_t vert_off = 0;
-  for (const auto& p : parts) {
-    for (const Edge& e : p.graph.edges())
-      edges.push_back({e.src + vert_off, e.dst + vert_off});
-    out.vertex_map.insert(out.vertex_map.end(), p.vertex_map.begin(),
-                          p.vertex_map.end());
-    out.edge_map.insert(out.edge_map.end(), p.edge_map.begin(),
-                        p.edge_map.end());
-    TRKX_CHECK(p.graph.num_vertices() <= 0xffffffffu - vert_off);
-    vert_off += static_cast<std::uint32_t>(p.graph.num_vertices());
+  std::vector<Edge> edges;
+  std::vector<std::pair<std::uint32_t, Edge>> found;  // (parent edge, edge)
+  std::uint32_t next_id = 0;
+  for (const auto& part : parts) {
+    for (std::uint32_t v : part) {
+      TRKX_CHECK(v < parent.num_vertices());
+      TRKX_CHECK_MSG(remap[v] == kUnset,
+                     "duplicate vertex in induced subgraph selection");
+      remap[v] = next_id++;
+    }
+    out.vertex_map.insert(out.vertex_map.end(), part.begin(), part.end());
+    found.clear();
+    for (std::uint32_t v : part) {
+      for (const Graph::OutEdge& oe : parent.out_edges(v)) {
+        if (remap[oe.dst] != kUnset)
+          found.push_back({oe.edge, Edge{remap[v], remap[oe.dst]}});
+      }
+    }
+    std::sort(found.begin(), found.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [pe, e] : found) {
+      out.edge_map.push_back(pe);
+      edges.push_back(e);
+    }
+    for (std::uint32_t v : part) remap[v] = kUnset;
   }
   out.graph = Graph(n, std::move(edges));
   return out;

@@ -83,15 +83,17 @@ struct InducedSubgraph {
   std::vector<std::uint32_t> edge_map;    ///< sub edge -> parent edge index
 };
 
-/// Subgraph induced by `vertices` (parent indices; must be distinct).
-/// Keeps every parent edge whose endpoints are both selected, preserving
-/// parent edge order.
+/// Subgraph induced by `vertices` (parent indices, any order; must be
+/// distinct). Keeps every parent edge whose endpoints are both selected,
+/// preserving parent edge order; sub vertex i is vertices[i].
 InducedSubgraph induced_subgraph(const Graph& parent,
                                  const std::vector<std::uint32_t>& vertices);
 
-/// Disjoint union: relabels each component's vertices into one graph.
-/// vertex/edge maps are concatenations of the parts' maps offset into the
-/// shared parent (all parts must reference the same parent).
-InducedSubgraph disjoint_union(const std::vector<InducedSubgraph>& parts);
+/// The disjoint union of the subgraphs each part induces in `parent`,
+/// built in one pass: the parts' vertices are numbered consecutively, part
+/// after part, and each part's edges follow the previous part's in parent
+/// edge order. A part's vertices must be distinct; parts may overlap.
+InducedSubgraph induced_union(
+    const Graph& parent, std::span<const std::vector<std::uint32_t>> parts);
 
 }  // namespace trkx

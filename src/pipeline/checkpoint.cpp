@@ -243,7 +243,9 @@ std::uint64_t checkpoint_fingerprint(const GnnTrainConfig& config,
   h = mix(h, config.bulk_k);
   h = mix(h, config.shadow.depth);
   h = mix(h, config.shadow.fanout);
-  h = mix(h, config.shadow.generic_spgemm ? 1 : 0);
+  // The former literal-SpGEMM sampler switch's "off", still mixed in so
+  // checkpoints written while it existed resume.
+  h = mix(h, 0);
   if (sampler.has_value()) {
     h = mix(h, static_cast<std::uint64_t>(*sampler));
   } else {

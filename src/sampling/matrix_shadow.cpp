@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sparse/sample.hpp"
-#include "sparse/spgemm.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 
@@ -15,7 +14,6 @@ void BulkSampleStats::merge(const BulkSampleStats& other) {
   spgemm_calls += other.spgemm_calls;
   frontier_rows += other.frontier_rows;
   sampled_nnz += other.sampled_nnz;
-  spgemm_seconds += other.spgemm_seconds;
   sample_seconds += other.sample_seconds;
   extract_seconds += other.extract_seconds;
 }
@@ -24,7 +22,6 @@ MatrixShadowSampler::MatrixShadowSampler(const Graph& parent,
                                          const ShadowConfig& config)
     : parent_(&parent),
       sym_adj_(parent.symmetric_adjacency()),
-      dir_adj_(parent.adjacency()),
       config_(config) {
   TRKX_CHECK(config.depth >= 1);
   TRKX_CHECK(config.fanout >= 1);
@@ -60,59 +57,25 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
   WallTimer timer;
   for (std::size_t level = 0; level < config_.depth; ++level) {
     if (frontier.empty()) break;
+    // Fused dataflow: row extraction (P = Q·A ≡ row selection of A), row
+    // normalisation and the neighbour draw all happen in one pass over the
+    // adjacency's CSR rows, so P is never materialised.
+    timer.reset();
     CsrMatrix sampled;
-    if (!config_.generic_spgemm) {
-      // Fused dataflow: row extraction (P = Q·A ≡ row selection of A),
-      // row normalisation, and the neighbour draw all happen in one pass
-      // over the adjacency's CSR rows — P is never materialised. Samples
-      // are bit-identical to the unfused path below.
-      timer.reset();
-      {
-        TRKX_TRACE_SPAN("shadow.fused_draw", "sample");
-        sampled = sample_neighbors_fused(sym_adj_, frontier, config_.fanout,
-                                         row_root, root_rngs);
-      }
-      metrics().counter("sample.spgemm_calls").add(1);
-      metrics().counter("sample.frontier_rows").add(frontier.size());
-      metrics().counter("sample.sampled_nnz").add(sampled.nnz());
-      if (stats) {
-        // The whole fused pass is draw time; extraction cost no longer
-        // exists as a separate phase.
-        stats->sample_seconds += timer.seconds();
-        ++stats->spgemm_calls;
-        stats->frontier_rows += frontier.size();
-        stats->sampled_nnz += sampled.nnz();
-      }
-    } else {
-      // P = Q·A: each row is one frontier vertex's neighbourhood, computed
-      // by the general SpGEMM kernel — the paper's literal formulation,
-      // kept as the unfused reference the fast path is tested against.
-      timer.reset();
-      CsrMatrix p;
-      {
-        TRKX_TRACE_SPAN("shadow.spgemm", "sample");
-        const CsrMatrix q = CsrMatrix::selection(n, frontier);
-        p = spgemm(q, sym_adj_);
-      }
-      metrics().counter("sample.spgemm_calls").add(1);
-      metrics().counter("sample.frontier_rows").add(frontier.size());
-      if (stats) {
-        stats->spgemm_seconds += timer.seconds();
-        ++stats->spgemm_calls;
-        stats->frontier_rows += frontier.size();
-      }
-
-      timer.reset();
-      {
-        TRKX_TRACE_SPAN("shadow.normalise_draw", "sample");
-        p.normalize_rows();
-        sampled = sample_rows(p, config_.fanout, row_root, root_rngs);
-      }
-      metrics().counter("sample.sampled_nnz").add(sampled.nnz());
-      if (stats) {
-        stats->sample_seconds += timer.seconds();
-        stats->sampled_nnz += sampled.nnz();
-      }
+    {
+      TRKX_TRACE_SPAN("shadow.fused_draw", "sample");
+      sampled = sample_neighbors_fused(sym_adj_, frontier, config_.fanout,
+                                       row_root, root_rngs);
+    }
+    metrics().counter("sample.spgemm_calls").add(1);
+    metrics().counter("sample.frontier_rows").add(frontier.size());
+    metrics().counter("sample.sampled_nnz").add(sampled.nnz());
+    if (stats) {
+      // The whole fused pass is draw time.
+      stats->sample_seconds += timer.seconds();
+      ++stats->spgemm_calls;
+      stats->frontier_rows += frontier.size();
+      stats->sampled_nnz += sampled.nnz();
     }
 
     // Record draws in F and expand the next Q (one nonzero per draw).
@@ -142,37 +105,6 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
   return visited;
 }
 
-InducedSubgraph MatrixShadowSampler::extract_component(
-    const std::vector<std::uint32_t>& verts) const {
-  // Row/column-selection extraction A(S, S) = S·A·Sᵀ (Figure 2). The fast
-  // path realises the selection products directly on the graph's CSR
-  // index; the generic path runs them through the SpGEMM kernel.
-  if (!config_.generic_spgemm) return induced_subgraph(*parent_, verts);
-  const CsrMatrix comp = induced_via_spgemm(dir_adj_, verts);
-  InducedSubgraph out;
-  out.vertex_map = verts;
-  std::vector<Edge> edges;
-  edges.reserve(comp.nnz());
-  std::vector<std::pair<std::uint32_t, Edge>> ordered;  // (parent edge, edge)
-  ordered.reserve(comp.nnz());
-  for (const Triplet& t : comp.to_triplets()) {
-    const std::uint32_t parent_edge =
-        parent_->find_edge(verts[t.row], verts[t.col]);
-    TRKX_CHECK_MSG(parent_edge != Graph::kNoEdge,
-                   "extracted edge missing from parent graph");
-    ordered.emplace_back(parent_edge, Edge{t.row, t.col});
-  }
-  // Restore parent edge order so the output matches the reference sampler.
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [pe, e] : ordered) {
-    out.edge_map.push_back(pe);
-    edges.push_back(e);
-  }
-  out.graph = Graph(verts.size(), std::move(edges));
-  return out;
-}
-
 ShadowSample MatrixShadowSampler::sample(
     const std::vector<std::uint32_t>& batch, Rng& rng,
     BulkSampleStats* stats) const {
@@ -198,27 +130,11 @@ std::vector<ShadowSample> MatrixShadowSampler::sample_bulk(
   metrics().counter("sample.bulk_batches").add(batches.size());
   std::vector<ShadowSample> out;
   out.reserve(batches.size());
+  const std::span<const std::vector<std::uint32_t>> sets(visited);
   std::size_t off = 0;
   for (const auto& batch : batches) {
-    ShadowSample sample;
-    sample.roots.reserve(batch.size());
-    std::vector<InducedSubgraph> parts;
-    parts.reserve(batch.size());
-    std::uint32_t vert_off = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& verts = visited[off + i];
-      const auto it =
-          std::lower_bound(verts.begin(), verts.end(), batch[i]);
-      TRKX_CHECK(it != verts.end() && *it == batch[i]);
-      sample.roots.push_back(vert_off +
-                             static_cast<std::uint32_t>(it - verts.begin()));
-      for (std::size_t v = 0; v < verts.size(); ++v)
-        sample.component_of.push_back(static_cast<std::uint32_t>(i));
-      parts.push_back(extract_component(verts));
-      vert_off += static_cast<std::uint32_t>(verts.size());
-    }
-    sample.sub = disjoint_union(parts);
-    out.push_back(std::move(sample));
+    out.push_back(assemble_shadow_sample(*parent_, batch,
+                                         sets.subspan(off, batch.size())));
     off += batch.size();
   }
   if (stats) stats->extract_seconds += timer.seconds();

@@ -12,7 +12,6 @@ struct BulkSampleStats {
   std::size_t spgemm_calls = 0;
   std::size_t frontier_rows = 0;   ///< total Q rows processed across levels
   std::size_t sampled_nnz = 0;     ///< total neighbours drawn
-  double spgemm_seconds = 0.0;
   double sample_seconds = 0.0;
   double extract_seconds = 0.0;
   void merge(const BulkSampleStats& other);
@@ -31,11 +30,18 @@ struct BulkSampleStats {
 ///      rather than as a CSR matrix.
 ///   4. The sampled nonzeros expand into the next Q (one nonzero per row),
 ///      and the process repeats for d levels.
-///   5. Each root's induced subgraph is extracted from the *directed*
-///      adjacency with row/column-selection SpGEMMs (S·A·Sᵀ).
+///   5. Each root's induced subgraph A(S, S) = S·A·Sᵀ of the *directed*
+///      adjacency is extracted.
+///
+/// Steps 2–3 run fused: Q has one nonzero per row, so Q·A is a row
+/// selection, and sample_neighbors_fused() normalises and draws from each
+/// selected CSR row in one pass without building P. Step 5 reads the
+/// graph's CSR out-edge index (assemble_shadow_sample). The literal
+/// SpGEMM formulation of both is the test oracle in
+/// tests/shadow_oracle.hpp, which must draw the same bytes.
 ///
 /// Bulk mode stacks the per-batch Q matrices (Equation 1) so k minibatches
-/// share every SpGEMM pass — the optimisation the paper credits for its
+/// share every sampling pass — the optimisation the paper credits for its
 /// sampling speedup.
 class MatrixShadowSampler {
  public:
@@ -61,14 +67,8 @@ class MatrixShadowSampler {
       const std::vector<std::uint32_t>& roots, Rng& rng,
       BulkSampleStats* stats) const;
 
-  /// Extract one root's component through selection SpGEMMs and map its
-  /// edges back to parent edge indices (restoring parent edge order).
-  InducedSubgraph extract_component(
-      const std::vector<std::uint32_t>& verts) const;
-
   const Graph* parent_;
   CsrMatrix sym_adj_;  ///< walk graph
-  CsrMatrix dir_adj_;  ///< directed adjacency for component extraction
   ShadowConfig config_;
 };
 

@@ -1,7 +1,5 @@
 #include "sampling/nodewise.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace trkx {
@@ -17,32 +15,7 @@ NodewiseSampler::NodewiseSampler(const Graph& parent,
 
 std::vector<std::uint32_t> NodewiseSampler::walk_vertex_set(
     std::uint32_t root, Rng& rng) const {
-  TRKX_CHECK(root < parent_->num_vertices());
-  std::vector<std::uint32_t> visited{root};
-  std::vector<std::uint32_t> frontier{root};
-  for (std::size_t fanout : config_.fanouts) {
-    std::vector<std::uint32_t> next;
-    for (std::uint32_t v : frontier) {
-      const std::uint64_t begin = sym_adj_.row_ptr()[v];
-      const std::uint64_t deg = sym_adj_.row_ptr()[v + 1] - begin;
-      if (deg == 0) continue;
-      if (deg <= fanout) {
-        for (std::uint64_t k = 0; k < deg; ++k)
-          next.push_back(sym_adj_.col_idx()[begin + k]);
-      } else {
-        auto offs = rng.sample_without_replacement(
-            static_cast<std::uint32_t>(deg),
-            static_cast<std::uint32_t>(fanout));
-        for (std::uint32_t off : offs)
-          next.push_back(sym_adj_.col_idx()[begin + off]);
-      }
-    }
-    visited.insert(visited.end(), next.begin(), next.end());
-    frontier = std::move(next);
-  }
-  std::sort(visited.begin(), visited.end());
-  visited.erase(std::unique(visited.begin(), visited.end()), visited.end());
-  return visited;
+  return frontier_walk(sym_adj_, root, config_.fanouts, rng);
 }
 
 ShadowSample NodewiseSampler::sample(const std::vector<std::uint32_t>& batch,

@@ -11,40 +11,15 @@ namespace trkx {
 ShadowSampler::ShadowSampler(const Graph& parent, const ShadowConfig& config)
     : parent_(&parent),
       sym_adj_(parent.symmetric_adjacency()),
-      config_(config) {
+      config_(config),
+      fanouts_(config.depth, config.fanout) {
   TRKX_CHECK(config.depth >= 1);
   TRKX_CHECK(config.fanout >= 1);
 }
 
 std::vector<std::uint32_t> ShadowSampler::walk_vertex_set(std::uint32_t root,
                                                           Rng& rng) const {
-  TRKX_CHECK(root < parent_->num_vertices());
-  std::vector<std::uint32_t> visited{root};
-  std::vector<std::uint32_t> frontier{root};
-  for (std::size_t level = 0; level < config_.depth; ++level) {
-    std::vector<std::uint32_t> next;
-    for (std::uint32_t v : frontier) {
-      // s distinct neighbours of v, uniformly (all of them if deg <= s).
-      const std::uint64_t begin = sym_adj_.row_ptr()[v];
-      const std::uint64_t deg = sym_adj_.row_ptr()[v + 1] - begin;
-      if (deg == 0) continue;
-      if (deg <= config_.fanout) {
-        for (std::uint64_t k = 0; k < deg; ++k)
-          next.push_back(sym_adj_.col_idx()[begin + k]);
-      } else {
-        auto offs = rng.sample_without_replacement(
-            static_cast<std::uint32_t>(deg),
-            static_cast<std::uint32_t>(config_.fanout));
-        for (std::uint32_t off : offs)
-          next.push_back(sym_adj_.col_idx()[begin + off]);
-      }
-    }
-    visited.insert(visited.end(), next.begin(), next.end());
-    frontier = std::move(next);
-  }
-  std::sort(visited.begin(), visited.end());
-  visited.erase(std::unique(visited.begin(), visited.end()), visited.end());
-  return visited;
+  return frontier_walk(sym_adj_, root, fanouts_, rng);
 }
 
 ShadowSample ShadowSampler::sample(const std::vector<std::uint32_t>& batch,
@@ -60,12 +35,40 @@ ShadowSample ShadowSampler::sample(const std::vector<std::uint32_t>& batch,
   return assemble_shadow_sample(*parent_, batch, sets);
 }
 
+std::vector<std::uint32_t> frontier_walk(const CsrMatrix& adj,
+                                         std::uint32_t root,
+                                         std::span<const std::size_t> fanouts,
+                                         Rng& rng) {
+  TRKX_CHECK(root < adj.rows());
+  std::vector<std::uint32_t> visited{root};
+  std::vector<std::uint32_t> frontier{root};
+  std::vector<std::uint32_t> next;
+  for (std::size_t fanout : fanouts) {
+    next.clear();
+    for (std::uint32_t v : frontier) {
+      const std::uint32_t* cols = adj.col_idx().data() + adj.row_ptr()[v];
+      const std::uint64_t deg = adj.row_ptr()[v + 1] - adj.row_ptr()[v];
+      if (deg <= fanout) {
+        next.insert(next.end(), cols, cols + deg);
+      } else {
+        for (std::uint32_t off : rng.sample_without_replacement(
+                 static_cast<std::uint32_t>(deg),
+                 static_cast<std::uint32_t>(fanout)))
+          next.push_back(cols[off]);
+      }
+    }
+    visited.insert(visited.end(), next.begin(), next.end());
+    frontier.swap(next);
+  }
+  std::sort(visited.begin(), visited.end());
+  visited.erase(std::unique(visited.begin(), visited.end()), visited.end());
+  return visited;
+}
+
 ShadowSample assemble_shadow_sample(
     const Graph& parent, const std::vector<std::uint32_t>& batch,
-    const std::vector<std::vector<std::uint32_t>>& vertex_sets) {
+    std::span<const std::vector<std::uint32_t>> vertex_sets) {
   TRKX_CHECK(batch.size() == vertex_sets.size());
-  std::vector<InducedSubgraph> parts;
-  parts.reserve(batch.size());
   ShadowSample out;
   out.roots.reserve(batch.size());
   std::uint32_t vert_off = 0;
@@ -77,12 +80,11 @@ ShadowSample assemble_shadow_sample(
                    "vertex set must contain its root");
     out.roots.push_back(vert_off +
                         static_cast<std::uint32_t>(it - verts.begin()));
-    for (std::size_t v = 0; v < verts.size(); ++v)
-      out.component_of.push_back(static_cast<std::uint32_t>(i));
-    parts.push_back(induced_subgraph(parent, verts));
+    out.component_of.insert(out.component_of.end(), verts.size(),
+                            static_cast<std::uint32_t>(i));
     vert_off += static_cast<std::uint32_t>(verts.size());
   }
-  out.sub = disjoint_union(parts);
+  out.sub = induced_union(parent, vertex_sets);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -12,15 +13,6 @@ namespace trkx {
 struct ShadowConfig {
   std::size_t depth = 3;   ///< d: random-walk/frontier expansion depth
   std::size_t fanout = 6;  ///< s: distinct neighbours kept per vertex
-  /// Matrix sampler only: run the Q·A products and subgraph extraction
-  /// through the general SpGEMM kernels (the paper's literal formulation),
-  /// then normalise P and draw from it, instead of the fast path. Both
-  /// paths produce identical samples; the fast path exploits Q having one
-  /// nonzero per row (Q·A ≡ row selection) and fuses row extraction, row
-  /// normalisation and neighbour drawing into one pass over the
-  /// adjacency's CSR rows, which is how a tuned implementation realises
-  /// the same algebra.
-  bool generic_spgemm = false;
 };
 
 /// One sampled minibatch: the disjoint union of every batch vertex's
@@ -65,13 +57,26 @@ class ShadowSampler {
   const Graph* parent_;
   CsrMatrix sym_adj_;
   ShadowConfig config_;
+  std::vector<std::size_t> fanouts_;  ///< d copies of s
 };
 
-/// Assemble a ShadowSample from per-root vertex sets (shared by both
-/// sampler implementations so their outputs are structurally identical).
+/// The vertex set a frontier walk from `root` visits on the walk graph
+/// `adj` (root included, deduplicated, sorted). Level l keeps up to
+/// fanouts[l] distinct neighbours of every frontier vertex, uniformly, or
+/// all of them when there are no more. ShaDow walks d levels of one
+/// fanout; node-wise sampling takes a per-level list.
+std::vector<std::uint32_t> frontier_walk(const CsrMatrix& adj,
+                                         std::uint32_t root,
+                                         std::span<const std::size_t> fanouts,
+                                         Rng& rng);
+
+/// Assemble a ShadowSample from per-root vertex sets (each sorted and
+/// containing its root). Every sampler that yields one component per root
+/// builds its sample here, so their outputs agree byte for byte on equal
+/// vertex sets.
 ShadowSample assemble_shadow_sample(
     const Graph& parent, const std::vector<std::uint32_t>& batch,
-    const std::vector<std::vector<std::uint32_t>>& vertex_sets);
+    std::span<const std::vector<std::uint32_t>> vertex_sets);
 
 /// Partition [0, n) into shuffled minibatches of `batch_size` (last batch
 /// may be smaller). The unit of epoch iteration for minibatch training.

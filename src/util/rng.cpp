@@ -1,7 +1,7 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace trkx {
 
@@ -50,18 +50,13 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
     return out;
   }
   out.reserve(k);
-  // Floyd's algorithm: k iterations, expected O(k) set operations.
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(k * 2);
+  // Floyd's algorithm: k draws. The chosen set is exactly `out`, so
+  // membership is a scan of it; for the small k of every caller (fanouts,
+  // degrees) the O(k²) scan costs less than a hash set's allocations.
   for (std::uint32_t j = n - k; j < n; ++j) {
     // NOLINT(trkx-narrow-cast): uniform_index(j + 1) <= j, already a uint32
     std::uint32_t t = static_cast<std::uint32_t>(uniform_index(j + 1));
-    if (seen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      seen.insert(j);
-      out.push_back(j);
-    }
+    out.push_back(std::find(out.begin(), out.end(), t) == out.end() ? t : j);
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "shadow_oracle.hpp"
 #include "tensor/ops.hpp"
 
 namespace trkx {
@@ -121,17 +122,16 @@ TEST(InducedSubgraphTest, PreservesParentEdgeOrder) {
   }
 }
 
-TEST(DisjointUnionTest, OffsetsComponents) {
-  Graph g(6, {{0, 1}, {2, 3}, {4, 5}});
-  auto a = induced_subgraph(g, {0, 1});
-  auto b = induced_subgraph(g, {4, 5});
-  auto u = disjoint_union({a, b});
-  EXPECT_EQ(u.graph.num_vertices(), 4u);
-  ASSERT_EQ(u.graph.num_edges(), 2u);
-  EXPECT_EQ(u.graph.edge(1).src, 2u);
-  EXPECT_EQ(u.graph.edge(1).dst, 3u);
-  EXPECT_EQ(u.vertex_map, (std::vector<std::uint32_t>{0, 1, 4, 5}));
-  EXPECT_EQ(u.edge_map, (std::vector<std::uint32_t>{0, 2}));
+TEST(InducedSubgraphTest, MatchesBruteForceScan) {
+  // Parallel edges (0→1 and 4→5 twice), self-loops (2, 3), edges both ways
+  // between 1 and 2, and isolated vertices 6 and 7; unsorted selections.
+  const Graph g(8, {{0, 1}, {1, 2}, {0, 1}, {2, 2}, {3, 0}, {2, 1},
+                    {4, 5}, {5, 4}, {3, 3}, {1, 0}, {4, 5}, {5, 3}});
+  const std::vector<std::vector<std::uint32_t>> selections{
+      {2, 0, 1}, {5, 3, 6, 0, 4}, {7}, {}, {6, 1, 2, 3, 4, 5, 7, 0}};
+  for (const auto& sel : selections)
+    oracle::expect_same_subgraph(induced_subgraph(g, sel),
+                                 oracle::brute_force_union(g, {sel}));
 }
 
 // ---------- union-find ----------

@@ -10,6 +10,7 @@
 #include "sampling/layerwise.hpp"
 #include "sampling/matrix_shadow.hpp"
 #include "sampling/nodewise.hpp"
+#include "shadow_oracle.hpp"
 
 namespace trkx {
 namespace {
@@ -292,16 +293,15 @@ TEST(IsolatedVertexTest, NodewiseProducesSingletonComponent) {
 TEST(IsolatedVertexTest, MatrixShadowMatchesReferenceOnIsolates) {
   Graph g = triangle_with_isolates();
   const ShadowConfig cfg{.depth = 2, .fanout = 3};
-  for (bool generic : {false, true}) {
-    ShadowConfig c = cfg;
-    c.generic_spgemm = generic;
-    MatrixShadowSampler sampler(g, c);
-    Rng rng(63);
-    ShadowSample s = sampler.sample({4, 2, 3}, rng);
-    ASSERT_EQ(s.num_components(), 3u);
-    expect_singleton_component(s, 0, 4);
-    expect_singleton_component(s, 2, 3);
-  }
+  MatrixShadowSampler sampler(g, cfg);
+  Rng rng(63), literal_rng(63);
+  ShadowSample s = sampler.sample({4, 2, 3}, rng);
+  ASSERT_EQ(s.num_components(), 3u);
+  expect_singleton_component(s, 0, 4);
+  expect_singleton_component(s, 2, 3);
+  // The paper's literal SpGEMM formulation draws the same sample.
+  oracle::expect_same_sample(
+      s, oracle::literal_sample_bulk(g, cfg, {{4, 2, 3}}, literal_rng).front());
 }
 
 TEST(IsolatedVertexTest, LayerwiseKeepsIsolatedBatchVertices) {

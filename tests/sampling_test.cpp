@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <set>
 
+#include "detector/generator.hpp"
+#include "detector/presets.hpp"
 #include "graph/generators.hpp"
 #include "sampling/matrix_shadow.hpp"
 #include "sampling/nodewise.hpp"
 #include "sampling/shadow.hpp"
+#include "shadow_oracle.hpp"
 #include "util/codec.hpp"
 
 namespace trkx {
@@ -233,27 +236,6 @@ TEST(MatrixShadowTest, MarginalDistributionMatchesReference) {
   }
 }
 
-TEST(MatrixShadowTest, GenericSpgemmPathMatchesFastPath) {
-  // The literal SpGEMM formulation and the selection fast path must draw
-  // identical samples from identical RNG streams.
-  Rng rng(21);
-  Graph g = erdos_renyi(50, 0.12, rng);
-  ShadowConfig fast{.depth = 2, .fanout = 3, .generic_spgemm = false};
-  ShadowConfig generic{.depth = 2, .fanout = 3, .generic_spgemm = true};
-  MatrixShadowSampler m_fast(g, fast);
-  MatrixShadowSampler m_generic(g, generic);
-  const std::vector<std::vector<std::uint32_t>> batches{{1, 2, 3}, {10, 20}};
-  Rng r1(22), r2(22);
-  auto a = m_fast.sample_bulk(batches, r1);
-  auto b = m_generic.sample_bulk(batches, r2);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].sub.vertex_map, b[k].sub.vertex_map);
-    EXPECT_EQ(a[k].sub.edge_map, b[k].sub.edge_map);
-    EXPECT_EQ(a[k].roots, b[k].roots);
-  }
-}
-
 TEST(MatrixShadowTest, InvalidConfigThrows) {
   Graph g = path_graph(4);
   EXPECT_THROW(MatrixShadowSampler(g, {.depth = 0, .fanout = 2}), Error);
@@ -330,6 +312,63 @@ TEST(SampleBytesTest, DigestsArePinned) {
   EXPECT_EQ(matrix, 0x0f472850u) << std::hex << matrix;
   EXPECT_EQ(bulk, 0x649df3e5u) << std::hex << bulk;
   EXPECT_EQ(nodewise, 0x2021294eu) << std::hex << nodewise;
+}
+
+// ---------- oracles ----------
+
+TEST(MatrixShadowTest, GenericSpgemmPathMatchesFastPath) {
+  // The paper's literal SpGEMM formulation and the fused sampler must draw
+  // identical samples from identical streams, on a CTD event and on a
+  // graph with parallel edges, self-loops and isolated vertices.
+  Rng event_rng(7);
+  const Event event = generate_event(ctd_spec(0.004).detector, event_rng);
+  const Graph multigraph = multigraph_with_isolates();
+  for (const Graph* g : {&event.graph, &multigraph}) {
+    for (const auto& [d, s] : {std::pair<std::size_t, std::size_t>{1, 2},
+                               {2, 4},
+                               {3, 6}}) {
+      const ShadowConfig cfg{.depth = d, .fanout = s};
+      const MatrixShadowSampler sampler(*g, cfg);
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(testing::Message() << "n=" << g->num_vertices() << " d="
+                                        << d << " s=" << s << " seed=" << seed);
+        Rng batch_rng(seed);
+        auto batches = make_minibatches(g->num_vertices(), 24, batch_rng);
+        batches.resize(3);
+        Rng r1(seed), r2(seed);
+        const auto fused = sampler.sample_bulk(batches, r1);
+        const auto literal = oracle::literal_sample_bulk(*g, cfg, batches, r2);
+        ASSERT_EQ(fused.size(), literal.size());
+        for (std::size_t k = 0; k < fused.size(); ++k)
+          oracle::expect_same_sample(fused[k], literal[k]);
+      }
+    }
+  }
+}
+
+TEST(ShadowTest, AssemblyMatchesBruteForceScan) {
+  // Overlapping walk sets on a graph with parallel edges, self-loops and
+  // isolated roots: every component is its vertex set's induced subgraph,
+  // relabelled by position and laid out in batch order.
+  const Graph g = multigraph_with_isolates();
+  const ShadowSampler sampler(g, {.depth = 2, .fanout = 4});
+  const std::vector<std::uint32_t> batch{3, 95, 3, 40, 17, 99, 40};
+  Rng rng(5);
+  std::vector<std::vector<std::uint32_t>> sets;
+  for (std::uint32_t b : batch) sets.push_back(sampler.walk_vertex_set(b, rng));
+  const ShadowSample s = assemble_shadow_sample(g, batch, sets);
+  oracle::expect_same_subgraph(s.sub, oracle::brute_force_union(g, sets));
+  std::uint32_t base = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(s.sub.vertex_map[s.roots[i]], batch[i]);
+    for (std::size_t v = 0; v < sets[i].size(); ++v)
+      EXPECT_EQ(s.component_of[base + v], i);
+    base += static_cast<std::uint32_t>(sets[i].size());
+  }
+  EXPECT_EQ(s.component_of.size(), base);
+
+  sets[1] = {95, 95};
+  EXPECT_THROW(assemble_shadow_sample(g, batch, sets), Error);
 }
 
 }  // namespace
