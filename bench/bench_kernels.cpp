@@ -1,24 +1,27 @@
 // Kernel-layer roofline: per-kernel bandwidth (GB/s) and arithmetic
-// throughput (GFLOP/s) for the scalar and AVX2 dispatch tables, at the
-// fixed 8192×64 trajectory shape plus the shapes of one IGNN edge-MLP
-// layer: its GEMMs (forward, dX, dW) over the concatenated E×6h input, the
-// same layer split by W's row blocks (the E-row and V-row products, the
+// throughput (GFLOP/s) for every dispatch table the host supports
+// (scalar, AVX2, AVX-512), at the fixed 8192×64 trajectory shape plus the
+// shapes of one IGNN edge-MLP layer: its GEMMs (forward, dX, dW) over the
+// concatenated E×6h input, the same layer split by W's row blocks (the
+// E-row and V-row products, one 32-wide block's GEMMs alone, the
 // gather-add and its segment_sum gradient), and its E×32 activations
 // (relu and tanh, forward and backward; one tanh counts as one op).
 //
 //   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
 //
 // Each series is one (kernel, isa) pair; metrics carry the median wall
-// time plus derived gb_per_sec / gflops_per_sec, and AVX2 series add
-// speedup_vs_scalar so the regression gate and the DESIGN.md roofline
-// table read straight off the artifact. On hosts without AVX2+FMA only
-// the scalar series are emitted.
+// time plus derived gb_per_sec / gflops_per_sec, the AVX2 and AVX-512
+// series add speedup_vs_scalar and the AVX-512 ones speedup_vs_avx2, so
+// the regression gate and the DESIGN.md roofline tables read straight off
+// the artifact. A host without AVX2+FMA emits the scalar series only, one
+// without AVX-512F no avx512 series.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -53,12 +56,8 @@ double median_seconds(int reps, int inner, Fn&& fn) {
   return t[t.size() / 2];
 }
 
-struct Workload {
-  std::string name;
-  double bytes;   // touched per run (read + write), for GB/s
-  double flops;   // arithmetic per run, for GFLOP/s
-  double scalar_s = 0.0;
-};
+/// Median seconds of every series run so far, by table then series name.
+using Timings = std::map<std::string, std::map<std::string, double>>;
 
 /// The roofline shape of the committed trajectory: 8192×64 hidden states,
 /// a 64×64 GEMM. It stays fixed so check_regression.py compares these
@@ -82,8 +81,7 @@ constexpr std::size_t kHidden = 32;
 constexpr std::size_t kVerts = 2580;
 
 void run_isa(const kernels::KernelTable& t, int reps, int inner,
-             std::vector<Workload>& loads, BenchJsonWriter& json,
-             bool is_scalar) {
+             Timings& timings, BenchJsonWriter& json) {
   Rng rng(17);
   const Matrix a = Matrix::random_normal(kRows, kInner, rng);
   const Matrix b = Matrix::random_normal(kInner, kCols, rng);
@@ -138,6 +136,7 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   const Matrix x0_blk = Matrix::random_normal(kVerts, kHidden, split_rng);
   const Matrix w_blk = Matrix::random_normal(kHidden, kHidden, split_rng);
   Matrix node_p(kVerts, kHidden), node_q(kVerts, kHidden);
+  Matrix block_dx(kEdges, kHidden), block_dw(kHidden, kHidden);
   std::vector<std::uint32_t> endpoint(kEdges);
   for (std::uint32_t& v : endpoint)
     v = static_cast<std::uint32_t>(split_rng.uniform_index(kVerts));
@@ -227,6 +226,45 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                      }
                    },
                    kVerts, kHidden});
+  // One 32-wide block of that layer, one GEMM at a time: an E-row block
+  // times its 32×32 row block of W (overwriting, then accumulating), the
+  // block's dX = dP·W_blockᵀ, and dW_block = blockᵀ·dP over the E rows and
+  // over the V rows.
+  cases.push_back({"gemm_block_e", gemm_bytes(fE, fH, fH),
+                   gemm_flops(fE, fH, fH),
+                   [&] {
+                     t.gemm(y_blk.data(), w_blk.data(), edge_out.data(),
+                            kEdges, kHidden, kHidden, /*accumulate=*/false);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"gemm_block_e_acc", gemm_bytes(fE, fH, fH),
+                   gemm_flops(fE, fH, fH),
+                   [&] {
+                     t.gemm(y0_blk.data(), w_blk.data(), edge_out.data(),
+                            kEdges, kHidden, kHidden, /*accumulate=*/true);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"gemm_nt_block_dx", gemm_bytes(fE, fH, fH),
+                   gemm_flops(fE, fH, fH),
+                   [&] {
+                     t.gemm_nt(d_out.data(), w_blk.data(), block_dx.data(),
+                               kEdges, kHidden, kHidden, /*accumulate=*/false);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"gemm_tn_block_dw_e", gemm_bytes(fH, fE, fH),
+                   gemm_flops(fH, fE, fH),
+                   [&] {
+                     t.gemm_tn(y_blk.data(), d_out.data(), block_dw.data(),
+                               kHidden, kEdges, kHidden, /*accumulate=*/false);
+                   },
+                   kHidden, kHidden});
+  cases.push_back({"gemm_tn_block_dw_v", gemm_bytes(fH, fV, fH),
+                   gemm_flops(fH, fV, fH),
+                   [&] {
+                     t.gemm_tn(x_blk.data(), x0_blk.data(), block_dw.data(),
+                               kHidden, kVerts, kHidden, /*accumulate=*/false);
+                   },
+                   kHidden, kHidden});
   cases.push_back({"gather_add_edge", 4.0 * fE * fH * 3.0 + 4.0 * fE, fE * fH,
                    [&] {
                      t.row_gather(node_p.data(), endpoint.data(),
@@ -291,30 +329,28 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    },
                    kEdges, kHidden});
 
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    const Case& k = cases[c];
+  const std::string isa = t.name;
+  for (const Case& k : cases) {
     const double sec = median_seconds(reps, inner, k.fn);
-    if (is_scalar) {
-      loads.push_back({k.name, k.bytes, k.flops, sec});
-    }
-    auto& s = json.series(std::string(k.name) + "/" + t.name);
+    timings[isa][k.name] = sec;
+    auto& s = json.series(std::string(k.name) + "/" + isa);
     s.param("kernel", k.name)
-        .param("isa", t.name)
+        .param("isa", isa)
         .param("rows", static_cast<long long>(k.rows))
         .param("cols", static_cast<long long>(k.cols))
         .metric("seconds_median", sec)
         .metric("gb_per_sec", k.bytes / sec / 1e9)
         .metric("gflops_per_sec", k.flops / sec / 1e9);
-    double speedup = 1.0;
-    if (!is_scalar) {
-      for (const Workload& wl : loads)
-        if (wl.name == k.name) speedup = wl.scalar_s / sec;
-      s.metric("speedup_vs_scalar", speedup);
+    std::printf("  %-18s %-6s  %8.1f us  %7.2f GB/s  %7.2f GFLOP/s", k.name,
+                isa.c_str(), sec * 1e6, k.bytes / sec / 1e9,
+                k.flops / sec / 1e9);
+    // Speedups against the tables run before this one (scalar first).
+    for (const char* base : {"scalar", "avx2"}) {
+      if (isa == base) break;
+      const double speedup = timings[base][k.name] / sec;
+      s.metric(std::string("speedup_vs_") + base, speedup);
+      std::printf("  %5.2fx vs %s", speedup, base);
     }
-    std::printf("  %-16s %-6s  %8.1f us  %7.2f GB/s  %7.2f GFLOP/s", k.name,
-                t.name, sec * 1e6, k.bytes / sec / 1e9, k.flops / sec / 1e9);
-    if (!is_scalar)
-      std::printf("  %5.2fx vs scalar", speedup);
     std::printf("\n");
   }
 }
@@ -329,16 +365,20 @@ int main(int argc, char** argv) {
   const int reps = args.get_int("reps", 9);
   const int inner = args.get_int("inner", 4);
 
-  std::printf("=== Kernel roofline: scalar vs AVX2 dispatch tables ===\n");
+  std::printf("=== Kernel roofline: scalar, AVX2 and AVX-512 dispatch "
+              "tables ===\n");
   BenchJsonWriter json("kernels");
-  std::vector<Workload> loads;
-  run_isa(kernels::scalar_table(), reps, inner, loads, json,
-          /*is_scalar=*/true);
+  Timings timings;
+  run_isa(kernels::scalar_table(), reps, inner, timings, json);
   if (kernels::host_has_avx2()) {
-    run_isa(kernels::avx2_table(), reps, inner, loads, json,
-            /*is_scalar=*/false);
+    run_isa(kernels::avx2_table(), reps, inner, timings, json);
   } else {
     std::printf("host lacks AVX2+FMA: scalar series only\n");
+  }
+  if (kernels::host_has_avx512()) {
+    run_isa(kernels::avx512_table(), reps, inner, timings, json);
+  } else if (kernels::host_has_avx2()) {
+    std::printf("host lacks AVX-512F: no avx512 series\n");
   }
 
   const std::string json_path = args.get("json-out", "");

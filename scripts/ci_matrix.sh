@@ -6,8 +6,10 @@
 #   release      RelWithDebInfo build + full ctest suite (tier-1 gate)
 #   simd         full ctest suite re-run against the release build with
 #                the kernel dispatch pinned (TRKX_SIMD=scalar, then
-#                TRKX_SIMD=avx2 when the host supports it) — every test
-#                must pass on both tables, not just the auto-resolved one
+#                TRKX_SIMD=avx2 when the host supports it); with the
+#                release leg's auto run (avx512 on an AVX-512F host) every
+#                table the host supports passes every test. The detail
+#                names the table auto resolves to
 #   asan-ubsan   TRKX_SANITIZE=address;undefined, suite minus perf-smoke
 #   tsan-stress  TRKX_SANITIZE=thread, tsan-stress labelled tests
 #   chaos        fault-injection leg: chaos-labelled ctest suite, then a
@@ -134,24 +136,33 @@ fi
 
 if wants simd; then
   # One build, the suite run once per pinned dispatch table. TRKX_SIMD
-  # overrides the auto cpuid resolution, so this proves the scalar and
-  # AVX2 kernel tables both pass every test — equivalence beyond the
-  # targeted ULP tests in kernels_test. Hosts without AVX2+FMA run the
-  # scalar lap only (TRKX_SIMD=avx2 would be a fatal config error there).
+  # overrides the auto cpuid resolution. The release leg's unpinned run
+  # is the lap of the table auto resolves to: avx512 on a host with
+  # AVX-512F, which TRKX_SIMD cannot pin. The scalar and avx2 laps here
+  # complete the set, so every table the host supports passes every test
+  # — equivalence beyond the targeted tests in kernels_test. Hosts
+  # without AVX2+FMA run the scalar lap only (TRKX_SIMD=avx2 would be a
+  # fatal config error there).
   t0=$(date +%s)
   dir=build-ci/simd
   status=pass detail="$dir"
   mkdir -p "$dir"
+  # kernels::host_has_avx2() needs AVX2 and FMA, host_has_avx512() those
+  # and AVX-512F; a CPU model exposing AVX2 alone must skip the avx2 lap,
+  # not die on the TRKX_SIMD=avx2 check.
+  cpu_flags=$(grep -m1 '^flags' /proc/cpuinfo 2> /dev/null)
+  auto_table=scalar
+  if grep -qw avx2 <<< "$cpu_flags" && grep -qw fma <<< "$cpu_flags"; then
+    auto_table=avx2
+    grep -qw avx512f <<< "$cpu_flags" && auto_table=avx512
+  fi
   if cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
        > "$dir/configure.log" 2>&1 &&
      cmake --build "$dir" -j "$JOBS" > "$dir/build.log" 2>&1; then
     (cd "$dir" && TRKX_SIMD=scalar ctest --output-on-failure -j "$JOBS" \
        > ctest-scalar.log 2>&1) ||
       { status=fail; detail="ctest: $dir/ctest-scalar.log"; }
-    # kernels::host_has_avx2() needs AVX2 and FMA; a CPU model exposing
-    # AVX2 alone must skip this lap, not die on the TRKX_SIMD=avx2 check.
-    cpu_flags=$(grep -m1 '^flags' /proc/cpuinfo 2> /dev/null)
-    if grep -qw avx2 <<< "$cpu_flags" && grep -qw fma <<< "$cpu_flags"; then
+    if [ "$auto_table" != scalar ]; then
       (cd "$dir" && TRKX_SIMD=avx2 ctest --output-on-failure -j "$JOBS" \
          > ctest-avx2.log 2>&1) ||
         { status=fail; detail="ctest: $dir/ctest-avx2.log"; }
@@ -161,7 +172,8 @@ if wants simd; then
   else
     status=fail detail="build: $dir/build.log"
   fi
-  record simd "$status" "$(( $(date +%s) - t0 ))" "$detail"
+  record simd "$status" "$(( $(date +%s) - t0 ))" \
+    "$detail; auto (release leg) resolves to $auto_table"
 fi
 
 if wants asan-ubsan; then

@@ -11,7 +11,7 @@
 namespace trkx {
 
 void BulkSampleStats::merge(const BulkSampleStats& other) {
-  spgemm_calls += other.spgemm_calls;
+  draw_levels += other.draw_levels;
   frontier_rows += other.frontier_rows;
   sampled_nnz += other.sampled_nnz;
   sample_seconds += other.sample_seconds;
@@ -67,13 +67,13 @@ std::vector<std::vector<std::uint32_t>> MatrixShadowSampler::run_levels(
       sampled = sample_neighbors_fused(sym_adj_, frontier, config_.fanout,
                                        row_root, root_rngs);
     }
-    metrics().counter("sample.spgemm_calls").add(1);
+    metrics().counter("sample.draw_levels").add(1);
     metrics().counter("sample.frontier_rows").add(frontier.size());
     metrics().counter("sample.sampled_nnz").add(sampled.nnz());
     if (stats) {
       // The whole fused pass is draw time.
       stats->sample_seconds += timer.seconds();
-      ++stats->spgemm_calls;
+      ++stats->draw_levels;
       stats->frontier_rows += frontier.size();
       stats->sampled_nnz += sampled.nnz();
     }

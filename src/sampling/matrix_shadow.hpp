@@ -9,7 +9,7 @@ namespace trkx {
 /// Phase breakdown of one bulk sampling call (for the Figure 3 split and
 /// the sampler ablation bench).
 struct BulkSampleStats {
-  std::size_t spgemm_calls = 0;
+  std::size_t draw_levels = 0;     ///< fused draw passes, one per level
   std::size_t frontier_rows = 0;   ///< total Q rows processed across levels
   std::size_t sampled_nnz = 0;     ///< total neighbours drawn
   double sample_seconds = 0.0;

@@ -31,17 +31,45 @@ const KernelTable& resolve(SimdMode m) {
       TRKX_CHECK_MSG(host_has_avx2(),
                      "TRKX_SIMD=avx2 requested but this host lacks AVX2+FMA");
       return avx2_table();
+    case SimdMode::kAvx512:
+      TRKX_CHECK_MSG(host_has_avx512(),
+                     "SimdMode::kAvx512 set but this host lacks AVX-512F");
+      return avx512_table();
     case SimdMode::kAuto:
     default:
+      if (host_has_avx512()) return avx512_table();
       return host_has_avx2() ? avx2_table() : scalar_table();
   }
 }
 
 }  // namespace
 
+// kernels_avx512.cpp: the avx512 table's GEMM entries.
+extern const GemmFn kAvx512Gemm, kAvx512GemmNt, kAvx512GemmTn;
+
+const KernelTable& avx512_table() {
+  static const KernelTable t = [] {
+    KernelTable zmm = avx2_table();
+    zmm.name = "avx512";
+    zmm.gemm = kAvx512Gemm;
+    zmm.gemm_nt = kAvx512GemmNt;
+    zmm.gemm_tn = kAvx512GemmTn;
+    return zmm;
+  }();
+  return t;
+}
+
 bool host_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+bool host_has_avx512() {
+#if defined(__x86_64__) || defined(__i386__)
+  return host_has_avx2() && __builtin_cpu_supports("avx512f");
 #else
   return false;
 #endif

@@ -19,11 +19,17 @@ struct AdamStep {
   float inv_bias2;
 };
 
-/// One ISA's implementation of every hot kernel. Two tables exist —
+/// The signature shared by gemm, gemm_nt and gemm_tn.
+using GemmFn = void (*)(const float* a, const float* b, float* c,
+                        std::size_t m, std::size_t k, std::size_t n,
+                        bool accumulate);
+
+/// One ISA's implementation of every hot kernel. Three tables exist —
 /// scalar (the reference, numerically identical to the historical loops
-/// in ops.cpp/tape.cpp/optimizer.cpp) and AVX2 (explicitly vectorized,
-/// FMA-contracted only where reassociation is allowed). Callers route
-/// through active(); tests and benches may pin a table directly.
+/// in ops.cpp/tape.cpp/optimizer.cpp), AVX2 (explicitly vectorized,
+/// FMA-contracted only where reassociation is allowed) and AVX-512 (the
+/// AVX2 table with its three GEMMs on a wider register tile). Callers
+/// route through active(); tests and benches may pin a table directly.
 ///
 /// Numerics contract, enforced by tests/kernels_test.cpp:
 ///   - bit-identical across tables: row_gather (both modes),
@@ -31,16 +37,19 @@ struct AdamStep {
 ///     relu_bwd, tanh_bwd, colwise_sum, adam_update — these are
 ///     elementwise or preserve the scalar accumulation order exactly, and
 ///     the AVX2 build never FMA-contracts them;
-///   - ULP-bounded: gemm, gemm_nt, gemm_tn — the AVX2 microkernel
-///     accumulates each output in the scalar k order but rounds once per
-///     FMA step (only the n == 1 dot-product paths reassociate) — and
-///     spmm, layer_norm_fwd, layer_norm_bwd_dx (FMA and reassociated
-///     8-lane reductions), and tanh_fwd (std::tanh in the
+///   - ULP-bounded against scalar: gemm, gemm_nt, gemm_tn — the AVX2
+///     microkernel accumulates each output in the scalar k order but
+///     rounds once per FMA step (only the n == 1 dot-product paths
+///     reassociate) — and spmm, layer_norm_fwd, layer_norm_bwd_dx (FMA
+///     and reassociated 8-lane reductions), and tanh_fwd (std::tanh in the
 ///     scalar table, a polynomial/exp approximation in the AVX2 one; both
 ///     keep tanh(±0) = ±0, ±Inf → ±1 and NaN → NaN);
-///   - The scalar GEMMs skip zero entries of A and the AVX2 GEMMs do not,
-///     so 0 · Inf or 0 · NaN gives NaN in the AVX2 table and is masked
-///     in the scalar one.
+///   - avx512 equals avx2 byte for byte on every entry: its GEMM tile
+///     accumulates each output in the same k order with the same FMA and
+///     mul-then-add steps, and every other entry is the AVX2 function;
+///   - The scalar GEMMs skip zero entries of A and the AVX2/AVX-512 GEMMs
+///     do not, so 0 · Inf or 0 · NaN gives NaN in those tables and is
+///     masked in the scalar one.
 ///
 /// Outputs marked "overwritten" are written in full, so callers allocate
 /// them with Matrix::uninit; outputs marked "accumulating" must be
@@ -53,14 +62,11 @@ struct KernelTable {
   const char* name;
 
   /// c (m×n) = a (m×k) · b (k×n), or c += a · b when accumulate.
-  void (*gemm)(const float* a, const float* b, float* c, std::size_t m,
-               std::size_t k, std::size_t n, bool accumulate);
+  GemmFn gemm;
   /// c (m×n) = a (m×k) · b (n×k)ᵀ, or c += a · bᵀ when accumulate.
-  void (*gemm_nt)(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate);
+  GemmFn gemm_nt;
   /// c (m×n) = a (k×m)ᵀ · b (k×n), or c += aᵀ · b when accumulate.
-  void (*gemm_tn)(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate);
+  GemmFn gemm_tn;
   /// y (rows×f, accumulating) += CSR(row_ptr, col_idx, val) · x (·×f).
   void (*spmm)(const std::uint64_t* row_ptr, const std::uint32_t* col_idx,
                const float* val, const float* x, float* y, std::size_t rows,
@@ -113,12 +119,15 @@ struct KernelTable {
                       std::size_t n, const AdamStep& s);
 };
 
-enum class SimdMode { kAuto = 0, kScalar, kAvx2 };
+/// kAvx512 is not a TRKX_SIMD value: auto picks it, and tests pin it
+/// through set_mode.
+enum class SimdMode { kAuto = 0, kScalar, kAvx2, kAvx512 };
 
 /// The dispatch-selected table. Resolved once, lazily: TRKX_SIMD env
 /// (auto|avx2|scalar; anything else is a fatal config error) then cpuid.
-/// TRKX_SIMD=avx2 on a host without AVX2+FMA is a fatal error; auto
-/// silently falls back to scalar there.
+/// auto picks avx512 on a host with AVX-512F, else avx2 on a host with
+/// AVX2+FMA, else scalar. TRKX_SIMD=avx2 on a host without AVX2+FMA is a
+/// fatal error.
 const KernelTable& active();
 
 /// The reference table (always safe to call).
@@ -126,9 +135,15 @@ const KernelTable& scalar_table();
 /// The AVX2 table. Always linked; calling its kernels on a host without
 /// AVX2+FMA raises SIGILL — check host_has_avx2() first.
 const KernelTable& avx2_table();
+/// The AVX-512 table. Always linked, and building it runs no AVX-512
+/// code; calling its kernels on a host without AVX-512F raises SIGILL —
+/// check host_has_avx512() first.
+const KernelTable& avx512_table();
 
 /// True iff this host supports AVX2 and FMA.
 bool host_has_avx2();
+/// True iff this host supports AVX2, FMA and AVX-512F.
+bool host_has_avx512();
 
 /// The currently requested mode (kAuto until overridden). active().name
 /// tells which ISA kAuto resolved to.

@@ -11,6 +11,8 @@
 // only through explicit _mm256_fmadd_ps, so the scalar tail loops and the
 // kernels documented as bit-identical (see kernels.hpp) never get
 // auto-contracted away from the scalar reference's mul-then-add rounding.
+// The AVX-512 TU (kernels_avx512.cpp) includes the AVX2 bodies too and
+// instantiates the GEMM entry points with its own register tile.
 //
 // The scalar bodies reproduce the historical loops from ops.cpp /
 // tape.cpp / optimizer.cpp token for token (loop order, k-tiling,
@@ -115,6 +117,9 @@ inline __m256 tanh8(__m256 x) {
 
 /// c[0..n) += a * b[0..n). FMA in the AVX2 lanes (GEMM/SpMM family is
 /// ULP-bounded, not bit-identical); the tail is plain mul-then-add.
+/// x86 returns an add's first NaN operand, and the compiler orders the
+/// operands as it likes, so the tail keeps the product's NaN explicitly,
+/// as the avx512 tile's tail lanes do.
 inline void mac_row(float* c, const float* b, float a, std::size_t n) {
 #if TRKX_KERNELS_AVX2
   const __m256 va = _mm256_set1_ps(a);
@@ -131,7 +136,10 @@ inline void mac_row(float* c, const float* b, float a, std::size_t n) {
     _mm256_storeu_ps(c + j, _mm256_fmadd_ps(va, _mm256_loadu_ps(b + j),
                                             _mm256_loadu_ps(c + j)));
   }
-  for (; j < n; ++j) c[j] += a * b[j];
+  for (; j < n; ++j) {
+    const float p = a * b[j];
+    c[j] = std::isnan(p) ? p : c[j] + p;
+  }
 #else
   for (std::size_t j = 0; j < n; ++j) c[j] += a * b[j];
 #endif
@@ -491,16 +499,16 @@ inline void adam_block(float* w, const float* g, float* m, float* v,
 
 #if TRKX_KERNELS_AVX2
 
-// The three AVX2 GEMMs share one register-blocked microkernel. A 6×16
-// tile of C lives in 12 ymm accumulators while k runs, so C is loaded
+// The three AVX2 GEMMs share one loop over k-blocks, column panels and
+// row tiles (gemm_blocked) around a register tile of C: Avx2Tile's 6×16
+// here, a 12×32 zmm tile in the avx512 table (kernels_avx512.cpp), which
+// instantiates the same loop and GEMM entry points with its own tile. A
+// tile keeps its block of C in accumulators while k runs, so C is loaded
 // and stored once per k-block, and every output accumulates in k order
 // with one FMA per step (no horizontal sums).
 
-/// Register tile: kMr rows × kNr columns of C.
-constexpr std::size_t kMr = 6;
-constexpr std::size_t kNr = 16;
 /// k-block: keeps a gemm_tn A panel (kKc rows of A) in L2 and sizes the
-/// packed Bᵀ panel of gemm_nt (kKc × kNr floats, 16 KB on the stack).
+/// packed Bᵀ panel of gemm_nt (kKc × Tile::kNr floats on the stack).
 constexpr std::size_t kKc = 256;
 
 /// C[0..R)×[0..16) = (load_c ? C : 0) + A·B over kc steps, where
@@ -534,69 +542,80 @@ void gemm_tile(const float* a, std::size_t rs, std::size_t ks, const float* b,
   }
 }
 
-/// gemm_tile for a row tile of 1..kMr rows (only the last tile of C can
-/// be short).
-inline void gemm_tile_rows(std::size_t rows, const float* a, std::size_t rs,
-                           std::size_t ks, const float* b, std::size_t ldb,
-                           float* c, std::size_t ldc, std::size_t kc,
-                           bool load_c) {
-  using TileFn = void (*)(const float*, std::size_t, std::size_t,
-                          const float*, std::size_t, float*, std::size_t,
-                          std::size_t, bool);
-  static constexpr TileFn kTiles[kMr + 1] = {
-      nullptr,       &gemm_tile<1>, &gemm_tile<2>, &gemm_tile<3>,
-      &gemm_tile<4>, &gemm_tile<5>, &gemm_tile<6>};
-  kTiles[rows](a, rs, ks, b, ldb, c, ldc, kc, load_c);
-}
+/// The AVX2 register tile: kMr rows × kNr columns of C in 12 ymm
+/// accumulators.
+struct Avx2Tile {
+  static constexpr std::size_t kMr = 6;
+  static constexpr std::size_t kNr = 16;
+
+  /// One tile of 1..kMr rows (only the last row tile of C is short) and
+  /// 1..kNr columns: a full panel runs gemm_tile, a narrower one (only the
+  /// last panel) goes through mac_row, so its columns past the last
+  /// multiple of 8 accumulate mul-then-add.
+  static void multiply(std::size_t rows, std::size_t nr, const float* a,
+                       std::size_t rs, std::size_t ks, const float* b,
+                       std::size_t ldb, float* c, std::size_t ldc,
+                       std::size_t kc, bool load_c) {
+    using TileFn = void (*)(const float*, std::size_t, std::size_t,
+                            const float*, std::size_t, float*, std::size_t,
+                            std::size_t, bool);
+    static constexpr TileFn kTiles[kMr + 1] = {
+        nullptr,       &gemm_tile<1>, &gemm_tile<2>, &gemm_tile<3>,
+        &gemm_tile<4>, &gemm_tile<5>, &gemm_tile<6>};
+    if (nr == kNr) {
+      kTiles[rows](a, rs, ks, b, ldb, c, ldc, kc, load_c);
+      return;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      float* crow = c + r * ldc;
+      if (!load_c) std::fill(crow, crow + nr, 0.0f);
+      for (std::size_t p = 0; p < kc; ++p)
+        mac_row(crow, b + p * ldb, a[r * rs + p * ks], nr);
+    }
+  }
+};
 
 /// C (m×n) = A·B, or C += A·B when accumulate, with A(i, p) =
 /// a[i*rs + p*ks] and B k×n row-major, or n×k (B is given transposed) when
 /// b_t. Without accumulate the first k-block starts its tiles from zero;
 /// every other k-block loads C. Every thread walks the same k-blocks and
-/// 16-column panels; a transposed panel is packed into the thread's own
-/// stack buffer. Column tails (n mod 16) go through mac_row.
-inline void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
-                         const float* b, bool b_t, float* c, std::size_t m,
-                         std::size_t k, std::size_t n, bool accumulate) {
+/// Tile::kNr-column panels; a transposed panel is packed into the thread's
+/// own stack buffer. Tile::multiply takes each (row tile, panel) pair,
+/// the short last ones included.
+template <class Tile>
+void gemm_blocked(const float* a, std::size_t rs, std::size_t ks,
+                  const float* b, bool b_t, float* c, std::size_t m,
+                  std::size_t k, std::size_t n, bool accumulate) {
+  static_assert(Tile::kMr > 0 && Tile::kNr > 0);
   if (k == 0) {  // no k-block runs: C = 0, or C += 0
     if (!accumulate) std::fill(c, c + m * n, 0.0f);
     return;
   }
-  const std::size_t tiles = (m + kMr - 1) / kMr;
-  float panel[kKc * kNr];  // private: each thread packs its own Bᵀ panels
+  const std::size_t tiles = (m + Tile::kMr - 1) / Tile::kMr;
+  float panel[kKc * Tile::kNr];  // private: each thread packs its own Bᵀ
 #pragma omp parallel default(none) shared(a, b, c) private(panel) \
     firstprivate(rs, ks, b_t, m, k, n, tiles, accumulate)
   {
     for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
       const std::size_t kc = std::min(std::size_t{kKc}, k - k0);
       const bool load_c = accumulate || k0 > 0;
-      for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-        const std::size_t nr = std::min(std::size_t{kNr}, n - j0);
+      for (std::size_t j0 = 0; j0 < n; j0 += Tile::kNr) {
+        const std::size_t nr = std::min(std::size_t{Tile::kNr}, n - j0);
         if (b_t) {
           for (std::size_t j = 0; j < nr; ++j)
             for (std::size_t p = 0; p < kc; ++p)
-              panel[p * kNr + j] = b[(j0 + j) * k + k0 + p];
+              panel[p * Tile::kNr + j] = b[(j0 + j) * k + k0 + p];
         }
         const float* bp = b_t ? panel : b + k0 * n + j0;
-        const std::size_t ldb = b_t ? kNr : n;
+        const std::size_t ldb = b_t ? Tile::kNr : n;
         // A static schedule over an unchanged trip count hands each thread
         // the same row tiles in every k-block, so nowait is race-free.
 #pragma omp for schedule(static) nowait
         for (std::size_t t = 0; t < tiles; ++t) {
-          const std::size_t i0 = t * kMr;
-          const std::size_t rows = std::min(std::size_t{kMr}, m - i0);
-          const float* at = a + i0 * rs + k0 * ks;
-          float* ct = c + i0 * n + j0;
-          if (nr == kNr) {
-            gemm_tile_rows(rows, at, rs, ks, bp, ldb, ct, n, kc, load_c);
-            continue;
-          }
-          for (std::size_t r = 0; r < rows; ++r) {
-            float* crow = ct + r * n;
-            if (!load_c) std::fill(crow, crow + nr, 0.0f);
-            for (std::size_t p = 0; p < kc; ++p)
-              mac_row(crow, bp + p * ldb, at[r * rs + p * ks], nr);
-          }
+          const std::size_t i0 = t * Tile::kMr;
+          const std::size_t rows = std::min(std::size_t{Tile::kMr}, m - i0);
+          Tile::multiply(rows, nr, a + i0 * rs + k0 * ks, rs, ks, bp, ldb,
+                         c + i0 * n + j0, n, kc, load_c);
         }
       }
     }
@@ -616,22 +635,28 @@ inline void gemv(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-inline void gemm(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, bool accumulate) {
+// The GEMM entry points, over register tile `Tile` (this table's
+// Avx2Tile by default). n = 1 never reaches a tile.
+
+template <class Tile = Avx2Tile>
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t k, std::size_t n, bool accumulate) {
   if (n == 1) return gemv(a, b, c, m, k, accumulate);
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n,
-               accumulate);
+  gemm_blocked<Tile>(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/false, c, m, k, n,
+                     accumulate);
 }
 
-inline void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n, bool accumulate) {
+template <class Tile = Avx2Tile>
+void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
+             std::size_t k, std::size_t n, bool accumulate) {
   if (n == 1) return gemv(a, b, c, m, k, accumulate);
-  gemm_blocked(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n,
-               accumulate);
+  gemm_blocked<Tile>(a, /*rs=*/k, /*ks=*/1, b, /*b_t=*/true, c, m, k, n,
+                     accumulate);
 }
 
-inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-                    std::size_t k, std::size_t n, bool accumulate) {
+template <class Tile = Avx2Tile>
+void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
+             std::size_t k, std::size_t n, bool accumulate) {
   if (n == 1) {  // Aᵀ · vector (the classifier's weight gradient): axpys
 #pragma omp parallel for schedule(static) default(none) shared(a, b, c) \
     firstprivate(m, k, accumulate)
@@ -643,8 +668,8 @@ inline void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
     }
     return;
   }
-  gemm_blocked(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n,
-               accumulate);
+  gemm_blocked<Tile>(a, /*rs=*/1, /*ks=*/m, b, /*b_t=*/false, c, m, k, n,
+                     accumulate);
 }
 
 #else  // scalar reference: the historical loop nests

@@ -29,7 +29,8 @@ constexpr Knob kKnobs[] = {
     {"TRKX_METRICS", "",
      "Write the metrics-registry JSON to this path at exit"},
     {"TRKX_SIMD", "auto",
-     "Kernel dispatch table: auto (cpuid resolves), avx2, or scalar"},
+     "Kernel dispatch table: auto (cpuid: avx512, avx2 or scalar), avx2, "
+     "or scalar"},
     {"TRKX_TIMESERIES", "",
      "Start the metrics snapshotter and append time-series JSONL to this "
      "path"},

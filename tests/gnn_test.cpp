@@ -410,6 +410,8 @@ TEST(IgnnTest, SplitForwardMatchesConcatenatedReference) {
   cases.back().cfg.num_layers = 0;
   std::vector<kernels::SimdMode> modes{kernels::SimdMode::kScalar};
   if (kernels::host_has_avx2()) modes.push_back(kernels::SimdMode::kAvx2);
+  if (kernels::host_has_avx512())
+    modes.push_back(kernels::SimdMode::kAvx512);
   const kernels::SimdMode before = kernels::mode();
   for (const Case& c : cases) {
     for (std::uint64_t seed : c.seeds) {

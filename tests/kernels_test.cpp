@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
+#include <omp.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,16 +78,42 @@ void expect_close(const std::vector<float>& ref, const std::vector<float>& got,
       GTEST_SKIP() << "host lacks AVX2+FMA; nothing to compare"; \
   } while (0)
 
+#define SKIP_WITHOUT_AVX512()                                        \
+  do {                                                               \
+    if (!kernels::host_has_avx512())                                 \
+      GTEST_SKIP() << "host lacks AVX-512F; nothing to compare";     \
+  } while (0)
+
+/// The table TRKX_SIMD=auto resolves to on this host.
+const char* auto_table_name() {
+  if (kernels::host_has_avx512()) return "avx512";
+  return kernels::host_has_avx2() ? "avx2" : "scalar";
+}
+
 // ---------- dispatch ----------
 
 TEST(KernelDispatch, ActiveTableResolves) {
   const kernels::KernelTable& t = kernels::active();
   ASSERT_NE(t.name, nullptr);
   EXPECT_TRUE(std::strcmp(t.name, "scalar") == 0 ||
-              std::strcmp(t.name, "avx2") == 0);
+              std::strcmp(t.name, "avx2") == 0 ||
+              std::strcmp(t.name, "avx512") == 0);
   if (!kernels::host_has_avx2()) {
     EXPECT_STREQ(t.name, "scalar");
   }
+  // Under a TRKX_SIMD pin (the CI simd laps) the pinned table is active.
+  if (kernels::mode() == kernels::SimdMode::kAuto) {
+    EXPECT_STREQ(t.name, auto_table_name());
+  }
+}
+
+TEST(KernelDispatch, AutoPicksAvx512ExactlyOnAvx512Hosts) {
+  const kernels::SimdMode before = kernels::mode();
+  kernels::set_mode(kernels::SimdMode::kAuto);
+  EXPECT_EQ(std::strcmp(kernels::active().name, "avx512") == 0,
+            kernels::host_has_avx512());
+  EXPECT_STREQ(kernels::active().name, auto_table_name());
+  kernels::set_mode(before);
 }
 
 TEST(KernelDispatch, SetModeRepointsActive) {
@@ -91,12 +124,17 @@ TEST(KernelDispatch, SetModeRepointsActive) {
     kernels::set_mode(kernels::SimdMode::kAvx2);
     EXPECT_STREQ(kernels::active().name, "avx2");
   }
+  if (kernels::host_has_avx512()) {
+    kernels::set_mode(kernels::SimdMode::kAvx512);
+    EXPECT_STREQ(kernels::active().name, "avx512");
+  }
   kernels::set_mode(before);
 }
 
 TEST(KernelDispatch, ScalarTableIsScalar) {
   EXPECT_STREQ(kernels::scalar_table().name, "scalar");
   EXPECT_STREQ(kernels::avx2_table().name, "avx2");
+  EXPECT_STREQ(kernels::avx512_table().name, "avx512");
 }
 
 // ---------- bit-identical kernels ----------
@@ -383,6 +421,145 @@ TEST(KernelEquivalence, GemmFamilyClose) {
   expect_gemm_family_close(32, 2580, 32, rng);
 }
 
+/// A GEMM operand of `n` values in [-2, 2): ±0 at every seventh element,
+/// NaN, +Inf and -Inf at its quarter points and ± subnormals at eight
+/// points between them, so every special reaches the vector lanes
+/// without turning most outputs NaN. Subnormal operands cost a microcode
+/// assist per instruction, hence so few of them.
+std::vector<float> gemm_operand(std::size_t n, Rng& rng) {
+  auto v = random_vec(n, rng);
+  for (std::size_t i = 3; i < n; i += 7) v[i] = (i / 7) % 2 ? -0.0f : 0.0f;
+  const float sub = std::numeric_limits<float>::denorm_min() * 37.0f;
+  for (std::size_t q = 0; q < 8 && n > 0; ++q)
+    v[(n - 1) * (2 * q + 1) / 16] = q % 2 ? -sub : sub;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float poison[] = {std::nanf(""), inf, -inf};
+  for (std::size_t q = 0; q < 3 && n > 0; ++q)
+    v[(n - 1) * (q + 1) / 4] = poison[q];
+  return v;
+}
+
+struct NamedGemm {
+  const char* name;
+  kernels::GemmFn kernels::KernelTable::*fn;
+};
+/// gemm_tn first: kGemms.first(1) is the weight-gradient reduction alone.
+constexpr std::array<NamedGemm, 3> kGemms = {
+    {{"gemm_tn", &kernels::KernelTable::gemm_tn},
+     {"gemm", &kernels::KernelTable::gemm},
+     {"gemm_nt", &kernels::KernelTable::gemm_nt}}};
+
+/// One m×k·k×n shape through `gemms` of the avx2 and avx512 tables, in
+/// both modes: the outputs must match byte for byte. `a` holds the m·k
+/// values of A. Each C carries 32 guard floats past its end, so a store
+/// past the operand shows too.
+void expect_avx512_gemms_match(const std::vector<float>& a, std::size_t m,
+                               std::size_t k, std::size_t n, Rng& rng,
+                               std::span<const NamedGemm> gemms) {
+  const kernels::KernelTable& vx = kernels::avx2_table();
+  const kernels::KernelTable& zx = kernels::avx512_table();
+  // Each GEMM reads the same buffers in its own layout: A is m×k (k×m for
+  // gemm_tn), B is k×n (n×k for gemm_nt).
+  const auto b = gemm_operand(k * n, rng);
+  auto c0 = gemm_operand(m * n, rng);
+  c0.resize(m * n + 32, 7.0f);
+  for (const NamedGemm& g : gemms) {
+    for (bool accumulate : {false, true}) {
+      std::vector<float> c1 = c0;
+      if (!accumulate)
+        std::fill(c1.begin(), c1.begin() + m * n, std::nanf(""));
+      std::vector<float> c2 = c1;
+      (vx.*g.fn)(a.data(), b.data(), c1.data(), m, k, n, accumulate);
+      (zx.*g.fn)(a.data(), b.data(), c2.data(), m, k, n, accumulate);
+      const auto diff = std::mismatch(
+          c1.begin(), c1.end(), c2.begin(), [](float x, float y) {
+            return std::bit_cast<std::uint32_t>(x) ==
+                   std::bit_cast<std::uint32_t>(y);
+          });
+      ASSERT_TRUE(diff.first == c1.end())
+          << g.name << " m=" << m << " k=" << k << " n=" << n
+          << (accumulate ? " accumulate" : " overwrite") << ": element "
+          << (diff.first - c1.begin()) << " is " << std::hex
+          << std::bit_cast<std::uint32_t>(*diff.first) << " in avx2, "
+          << std::bit_cast<std::uint32_t>(*diff.second) << " in avx512";
+    }
+  }
+}
+
+TEST(KernelEquivalence, Avx512GemmsMatchAvx2Bytes) {
+  SKIP_WITHOUT_AVX512();
+  Rng rng(37);
+  const int threads_before = omp_get_max_threads();
+  // Both sides of the 12-row tile edge, the 16- and 32-column panels, the
+  // 8-column FMA/mul-add boundary and the 256-deep k-block, at the IGNN
+  // row counts (V = 2580, E = 6451); gemm_tn also reduces over k = 6451
+  // rows. Each OpenMP thread count splits the row tiles differently.
+  for (int threads : {1, 3}) {
+    omp_set_num_threads(threads);
+    SCOPED_TRACE(::testing::Message() << threads << " OpenMP threads");
+    for (std::size_t m : {1u, 11u, 12u, 13u, 25u, 2580u, 6451u})
+      for (std::size_t k : {0u, 1u, 8u, 14u, 32u, 255u, 256u, 257u, 6451u}) {
+        const auto a = gemm_operand(m * k, rng);
+        const auto gemms =
+            k == 6451 ? std::span(kGemms).first(1) : std::span(kGemms);
+        for (std::size_t n : {1u, 2u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 24u,
+                              31u, 32u, 33u, 40u, 64u, 192u})
+          expect_avx512_gemms_match(a, m, k, n, rng, gemms);
+      }
+  }
+  omp_set_num_threads(threads_before);
+}
+
+/// `n` floats that end exactly at a page boundary, followed by a page
+/// mapped PROT_NONE, so a load or store past the last one faults. ASan
+/// does not check masked vector loads and stores; this does.
+class PageEndFloats {
+ public:
+  explicit PageEndFloats(const std::vector<float>& values) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t body =
+        (values.size() * sizeof(float) + page - 1) / page * page;
+    bytes_ = body + page;
+    void* base = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::runtime_error("mmap failed");
+    base_ = static_cast<char*>(base);
+    if (mprotect(base_ + body, page, PROT_NONE) != 0)
+      throw std::runtime_error("mprotect failed");
+    data_ = reinterpret_cast<float*>(base_ + body) -
+            static_cast<std::ptrdiff_t>(values.size());
+    std::copy(values.begin(), values.end(), data_);
+  }
+  PageEndFloats(const PageEndFloats&) = delete;
+  PageEndFloats& operator=(const PageEndFloats&) = delete;
+  ~PageEndFloats() { munmap(base_, bytes_); }
+  float* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t bytes_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST(KernelEquivalence, Avx512GemmsStayInsideOperands) {
+  SKIP_WITHOUT_AVX512();
+  const kernels::KernelTable& zx = kernels::avx512_table();
+  Rng rng(41);
+  // Narrow and partly masked panels, short row tiles, one and two
+  // k-blocks: every operand ends at an inaccessible page, so a masked
+  // lane that reads or writes past it kills the test.
+  for (std::size_t m : {1u, 13u})
+    for (std::size_t n : {2u, 7u, 9u, 17u, 31u, 33u})
+      for (std::size_t k : {1u, 14u, 257u}) {
+        PageEndFloats a(random_vec(m * k, rng));
+        PageEndFloats b(random_vec(k * n, rng));
+        PageEndFloats c(random_vec(m * n, rng));
+        for (const NamedGemm& g : kGemms)
+          for (bool accumulate : {false, true})
+            (zx.*g.fn)(a.data(), b.data(), c.data(), m, k, n, accumulate);
+      }
+}
+
 TEST(KernelEquivalence, SpmmClose) {
   SKIP_WITHOUT_AVX2();
   Rng rng(23);
@@ -485,6 +662,15 @@ TEST(KernelGradcheck, Avx2Path) {
   EXPECT_TRUE(result.passed) << "max abs err " << result.max_abs_error;
 }
 
+TEST(KernelGradcheck, Avx512Path) {
+  SKIP_WITHOUT_AVX512();
+  const kernels::SimdMode before = kernels::mode();
+  kernels::set_mode(kernels::SimdMode::kAvx512);
+  const auto result = gradcheck_network();
+  kernels::set_mode(before);
+  EXPECT_TRUE(result.passed) << "max abs err " << result.max_abs_error;
+}
+
 // ---------- oracle: one IGNN training step on each table ----------
 
 /// Forward + backward of a CTD-shaped IGNN (features 14/8, hidden 32,
@@ -530,6 +716,28 @@ TEST(KernelOracle, IgnnStepScalarMatchesAvx2) {
     oracle::expect_step_matches(sc, vx, [&](float f) {
       return ignn_step(kernels::SimdMode::kScalar, seed, f);
     });
+  }
+}
+
+TEST(KernelOracle, IgnnStepAvx512MatchesAvx2Bytes) {
+  SKIP_WITHOUT_AVX512();
+  // The avx512 table differs from avx2 only in its GEMM tile, which
+  // rounds every output identically: the whole step is byte for byte.
+  for (std::uint64_t seed = 30; seed <= 41; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const oracle::IgnnStep vx = ignn_step(kernels::SimdMode::kAvx2, seed);
+    const oracle::IgnnStep zx = ignn_step(kernels::SimdMode::kAvx512, seed);
+    ASSERT_EQ(vx.logits.size(), 1200u);
+    EXPECT_TRUE(bitwise_equal(vx.logits, zx.logits)) << "logits";
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(vx.loss),
+              std::bit_cast<std::uint32_t>(zx.loss))
+        << "loss " << vx.loss << " vs " << zx.loss;
+    ASSERT_EQ(vx.grads.size(), zx.grads.size());
+    for (std::size_t i = 0; i < vx.grads.size(); ++i) {
+      EXPECT_EQ(vx.grads[i].first, zx.grads[i].first);
+      EXPECT_TRUE(bitwise_equal(vx.grads[i].second, zx.grads[i].second))
+          << "gradient of " << vx.grads[i].first;
+    }
   }
 }
 

@@ -192,7 +192,7 @@ TEST(MatrixShadowTest, StatsAreAccumulated) {
   MatrixShadowSampler mat(g, {.depth = 3, .fanout = 2});
   BulkSampleStats stats;
   (void)mat.sample_bulk({{0, 1}, {2, 3}}, rng, &stats);
-  EXPECT_EQ(stats.spgemm_calls, 3u);  // one per level
+  EXPECT_EQ(stats.draw_levels, 3u);  // one per level
   EXPECT_GE(stats.frontier_rows, 4u);
   EXPECT_GT(stats.sampled_nnz, 0u);
 }
