@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "autograd/gradcheck.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/kernels/kernels.hpp"
+#include "util/codec.hpp"
 
 namespace trkx {
 namespace {
@@ -218,6 +223,76 @@ TEST(MlpTest, GradcheckThroughWholeNetwork) {
       },
       {x});
   EXPECT_TRUE(result.passed) << result.max_abs_error;
+}
+
+// ---------- pinned step bytes ----------
+
+/// CRC-32 over one Mlp training step on `rows` input rows (input 14,
+/// hidden 32, 2 hidden layers with layer norm, output 8, a mean-square
+/// loss): the output, the loss and every parameter gradient, continuing
+/// `crc`. Inputs come from random_uniform, so no libm call is on the path.
+std::uint32_t mlp_step_digest(std::size_t rows, std::uint32_t crc) {
+  ParameterStore store;
+  Rng rng(2801);
+  MlpConfig cfg;
+  cfg.input_dim = 14;
+  cfg.hidden_dim = 32;
+  cfg.output_dim = 8;
+  cfg.num_hidden = 2;
+  cfg.layer_norm = true;
+  cfg.output_activation = Activation::kNone;
+  Mlp mlp(store, "m", cfg, rng);
+  // Layer-norm affines away from (1, 0), so gamma and beta shape the bytes.
+  for (Parameter& p : store.params()) {
+    if (p.name.find(".ln") == std::string::npos) continue;
+    p.value = Matrix::random_uniform(p.value.rows(), p.value.cols(), rng,
+                                     -1.5f, 1.5f);
+  }
+  TapeContext ctx;
+  Var y = mlp.forward(
+      ctx, ctx.constant(Matrix::random_uniform(rows, 14, rng, -2.0f, 2.0f)));
+  Var loss = ctx.tape().mean_square(y);
+  ctx.backward(loss);
+  const auto put = [&crc](const Matrix& m) {
+    crc = crc32(m.data(), m.size() * sizeof(float), crc);
+  };
+  put(y.value());
+  put(loss.value());
+  for (const Parameter& p : store.params()) put(p.grad);
+  return crc;
+}
+
+// Checkpoints, perfbench's exact-repeat values and served models all
+// depend on the bytes an MLP step computes. These digests pin them on
+// every kernel table the host has, at 1 and 3 OpenMP threads: a change to
+// the MLP's ops or kernels that moves one byte fails here. avx512 shares
+// avx2's digest (it differs only in its GEMM tile, which rounds alike).
+TEST(MlpTest, StepBytesArePinned) {
+  struct Table {
+    kernels::SimdMode mode;
+    bool available;
+    std::uint32_t digest;
+  };
+  const Table tables[] = {
+      {kernels::SimdMode::kScalar, true, 0x295c30c1u},
+      {kernels::SimdMode::kAvx2, kernels::host_has_avx2(), 0x3dcb6dadu},
+      {kernels::SimdMode::kAvx512, kernels::host_has_avx512(), 0x3dcb6dadu},
+  };
+  const kernels::SimdMode mode_before = kernels::mode();
+  const int threads_before = omp_get_max_threads();
+  for (const Table& t : tables) {
+    if (!t.available) continue;
+    kernels::set_mode(t.mode);
+    for (int threads : {1, 3}) {
+      omp_set_num_threads(threads);
+      std::uint32_t crc = 0;
+      for (std::size_t rows : {1, 7, 600}) crc = mlp_step_digest(rows, crc);
+      EXPECT_EQ(crc, t.digest) << kernels::active().name << " at " << threads
+                               << " threads: 0x" << std::hex << crc;
+    }
+  }
+  omp_set_num_threads(threads_before);
+  kernels::set_mode(mode_before);
 }
 
 TEST(MlpTest, ParameterGradientsFlowToStore) {
