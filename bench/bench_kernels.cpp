@@ -5,7 +5,8 @@
 // concatenated E×6h input, the same layer split by W's row blocks (the
 // E-row and V-row products, one 32-wide block's GEMMs alone, the
 // gather-add and its segment_sum gradient), and its E×32 activations
-// (relu and tanh, forward and backward; one tanh counts as one op).
+// (relu, tanh and the fused relu → layer norm, forward and backward; one
+// tanh counts as one op).
 //
 //   ./bench_kernels [--reps 9] [--inner 4] [--json-out BENCH_kernels.json]
 //
@@ -96,7 +97,8 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
   Matrix edge_out(kEdges, kHidden), edge_dx(kEdges, kMsgIn);
   Matrix edge_dw(kMsgIn, kHidden);
   std::vector<float> gamma(kCols, 1.0f), beta(kCols, 0.1f);
-  std::vector<float> xhat(kEwN), inv_std(kRows), colsum(kCols);
+  std::vector<float> ln_dz(kEwN), ln_stats(2 * kRows), colsum(kCols);
+  std::vector<float> dgamma(kCols), dbeta(kCols);
 
   // ~degree-8 random sparse adjacency for spmm.
   std::vector<Triplet> trips;
@@ -298,11 +300,27 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                      std::memset(colsum.data(), 0, kCols * sizeof(float));
                      t.colwise_sum(x.data(), colsum.data(), kRows, kCols);
                    }});
-  cases.push_back({"layer_norm_fwd", 4.0 * (fN * 3.0 + fR + 2.0 * fC),
-                   8.0 * fN, [&] {
-                     t.layer_norm_fwd(x.data(), gamma.data(), beta.data(),
-                                      out.data(), xhat.data(), inv_std.data(),
-                                      kRows, kCols, 1e-5f);
+  // The fused relu → layer norm: forward reads z and writes y and two
+  // floats per row; backward reads dy and z twice (the dz rows, then the
+  // row-order dgamma/dbeta strips) and writes dz.
+  const auto ln_fwd_bytes = [](double r, double c) {
+    return 4.0 * (2.0 * r * c + 2.0 * r + 2.0 * c);
+  };
+  const auto ln_bwd_bytes = [](double r, double c) {
+    return 4.0 * (5.0 * r * c + 2.0 * r + 3.0 * c);
+  };
+  cases.push_back({"relu_layer_norm_fwd", ln_fwd_bytes(fR, fC), 8.0 * fN, [&] {
+                     t.relu_layer_norm_fwd(x.data(), gamma.data(), beta.data(),
+                                           out.data(), ln_stats.data(),
+                                           ln_stats.data() + kRows, kRows,
+                                           kCols, 1e-5f);
+                   }});
+  cases.push_back({"relu_layer_norm_bwd", ln_bwd_bytes(fR, fC), 20.0 * fN, [&] {
+                     t.relu_layer_norm_bwd(y.data(), x.data(), gamma.data(),
+                                           ln_stats.data(),
+                                           ln_stats.data() + kRows,
+                                           ln_dz.data(), dgamma.data(),
+                                           dbeta.data(), kRows, kCols);
                    }});
   cases.push_back({"adam_update", 4.0 * fN * 7.0, 11.0 * fN, [&] {
                      t.adam_update(w.data(), x.data(), m0.data(), v0.data(),
@@ -326,6 +344,25 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    [&] {
                      t.tanh_bwd(d_out.data(), act_tanh.data(), act_out.data(),
                                 n_act);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"relu_layer_norm_fwd_edge", ln_fwd_bytes(fE, fH), 8.0 * fA,
+                   [&] {
+                     t.relu_layer_norm_fwd(act_x.data(), gamma.data(),
+                                           beta.data(), act_out.data(),
+                                           ln_stats.data(),
+                                           ln_stats.data() + kEdges, kEdges,
+                                           kHidden, 1e-5f);
+                   },
+                   kEdges, kHidden});
+  cases.push_back({"relu_layer_norm_bwd_edge", ln_bwd_bytes(fE, fH),
+                   20.0 * fA,
+                   [&] {
+                     t.relu_layer_norm_bwd(d_out.data(), act_x.data(),
+                                           gamma.data(), ln_stats.data(),
+                                           ln_stats.data() + kEdges,
+                                           ln_dz.data(), dgamma.data(),
+                                           dbeta.data(), kEdges, kHidden);
                    },
                    kEdges, kHidden});
 

@@ -120,10 +120,9 @@ Var Tape::linear(const std::vector<LinearTerm>& terms, Var w, Var bias) {
 
   const kernels::KernelTable& k = kernels::active();
   Matrix out = Matrix::uninit(rows, out_cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::memcpy(out.data() + i * out_cols, bias.value().data(),
-                out_cols * sizeof(float));
-  }
+  const float* b = bias.value().data();
+  for (std::size_t i = 0; i < rows; ++i)
+    std::memcpy(out.data() + i * out_cols, b, out_cols * sizeof(float));
   std::size_t w_off = 0;  // first element of the current row block of w
   for (const LinearTerm& term : terms) {
     if (term.index == nullptr) {
@@ -283,39 +282,39 @@ Var Tape::sigmoid(Var a) {
   return v;
 }
 
-Var Tape::layer_norm(Var x, Var gamma, Var beta, float eps) {
-  const Matrix& xv = x.value();
-  const std::size_t rows = xv.rows(), cols = xv.cols();
+Var Tape::relu_layer_norm(Var z, Var gamma, Var beta, float eps) {
+  const Matrix& zv = z.value();
+  const std::size_t rows = zv.rows(), cols = zv.cols();
   TRKX_CHECK(gamma.value().rows() == 1 && gamma.value().cols() == cols);
   TRKX_CHECK(beta.value().rows() == 1 && beta.value().cols() == cols);
-  // Save per-row inverse stddev and x_hat for the backward pass.
-  auto inv_std = std::make_shared<std::vector<float>>(rows);
-  auto xhat = std::make_shared<Matrix>(Matrix::uninit(rows, cols));
+  // Per row, the mean and then 1/σ: all the backward needs besides z.
+  auto stats = std::make_shared<std::vector<float>>(2 * rows);
   Matrix out = Matrix::uninit(rows, cols);
-  kernels::active().layer_norm_fwd(xv.data(), gamma.value().data(),
-                                   beta.value().data(), out.data(),
-                                   xhat->data(), inv_std->data(), rows, cols,
-                                   eps);
-  const bool rg = node(x).requires_grad || node(gamma).requires_grad ||
+  kernels::active().relu_layer_norm_fwd(
+      zv.data(), gamma.value().data(), beta.value().data(), out.data(),
+      stats->data(), stats->data() + rows, rows, cols, eps);
+  const bool rg = node(z).requires_grad || node(gamma).requires_grad ||
                   node(beta).requires_grad;
   Tape* t = this;
-  return emit(std::move(out), rg, "layer_norm",
-              [t, x, gamma, beta, xhat, inv_std, cols](Node& n) {
-    const std::size_t rows = n.grad.rows();
-    if (t->node(gamma).requires_grad) {
-      // Same products, same row-order per-column accumulation as the
-      // historical explicit loop.
-      t->accumulate(gamma, trkx::colwise_sum(trkx::hadamard(n.grad, *xhat)));
-    }
-    if (t->node(beta).requires_grad) t->accumulate(beta, colwise_sum(n.grad));
-    if (t->node(x).requires_grad) {
-      Matrix dx = Matrix::uninit(rows, cols);
-      // dx = (is/cols) * (cols*dy*g - sum(dy*g) - xhat * sum(dy*g*xhat))
-      kernels::active().layer_norm_bwd_dx(n.grad.data(), gamma.value().data(),
-                                          xhat->data(), inv_std->data(),
-                                          dx.data(), rows, cols);
-      t->accumulate(x, std::move(dx));
-    }
+  return emit(std::move(out), rg, "relu_layer_norm",
+              [t, z, gamma, beta, stats](Node& n) {
+    const Matrix& zv = z.value();
+    const std::size_t rows = zv.rows(), cols = zv.cols();
+    TRKX_CHECK(n.grad.same_shape(zv));
+    const bool affine_rg =
+        t->node(gamma).requires_grad || t->node(beta).requires_grad;
+    const bool z_rg = t->node(z).requires_grad;
+    Matrix dgamma = affine_rg ? Matrix::uninit(1, cols) : Matrix{};
+    Matrix dbeta = affine_rg ? Matrix::uninit(1, cols) : Matrix{};
+    Matrix dz = z_rg ? Matrix::uninit(rows, cols) : Matrix{};
+    kernels::active().relu_layer_norm_bwd(
+        n.grad.data(), zv.data(), gamma.value().data(), stats->data(),
+        stats->data() + rows, z_rg ? dz.data() : nullptr,
+        affine_rg ? dgamma.data() : nullptr,
+        affine_rg ? dbeta.data() : nullptr, rows, cols);
+    if (t->node(gamma).requires_grad) t->accumulate(gamma, std::move(dgamma));
+    if (t->node(beta).requires_grad) t->accumulate(beta, std::move(dbeta));
+    if (z_rg) t->accumulate(z, std::move(dz));
   });
 }
 

@@ -83,8 +83,10 @@ class Tape {
   Var relu(Var a);
   Var tanh(Var a);
   Var sigmoid(Var a);
-  /// Row-wise LayerNorm with learned affine (gamma, beta are 1×cols).
-  Var layer_norm(Var x, Var gamma, Var beta, float eps = 1e-5f);
+  /// Row-wise LayerNorm with learned affine (gamma, beta are 1×cols) of
+  /// relu(z), as one node: it keeps its output and two floats per row
+  /// (mean, 1/σ), and its backward recomputes relu(z) and x̂ from z.
+  Var relu_layer_norm(Var z, Var gamma, Var beta, float eps = 1e-5f);
   Var concat_cols(const std::vector<Var>& blocks);
   Var slice_cols(Var a, std::size_t start, std::size_t len);
   /// out[i,:] = rows[i,:] · scalars[i,0] — per-row scaling by an m×1

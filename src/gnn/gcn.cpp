@@ -19,7 +19,6 @@ GcnEdgeClassifier::GcnEdgeClassifier(ParameterStore& store,
   enc.hidden_dim = h;
   enc.output_dim = h;
   enc.num_hidden = config.mlp_hidden;
-  enc.hidden_activation = Activation::kRelu;
   enc.output_activation = Activation::kTanh;
   node_encoder_ = std::make_unique<Mlp>(store, "gcn.node_enc", enc, rng);
 
@@ -38,7 +37,6 @@ GcnEdgeClassifier::GcnEdgeClassifier(ParameterStore& store,
   head.hidden_dim = h;
   head.output_dim = 1;
   head.num_hidden = config.mlp_hidden;
-  head.hidden_activation = Activation::kRelu;
   head.output_activation = Activation::kNone;
   edge_head_ = std::make_unique<Mlp>(store, "gcn.edge_head", head, rng);
 }

@@ -18,7 +18,6 @@ IgnnMlps ignn_mlps(const IgnnConfig& config) {
   enc.hidden_dim = h;
   enc.output_dim = h;
   enc.num_hidden = config.mlp_hidden;
-  enc.hidden_activation = Activation::kRelu;
   enc.output_activation = Activation::kTanh;
   enc.layer_norm = config.layer_norm;
 

@@ -90,7 +90,7 @@ class InteractionGnn {
 /// (Tape::activation_floats() after forward() returns the logits): the
 /// input features, every retained MLP output, activation and layer norm,
 /// the aggregated messages, and the bound parameters ctx.bind copies in.
-/// The memory-wall quantity (per layer ≈ 8·m·h edge and 10·n·h node floats
+/// The memory-wall quantity (per layer ≈ 6·m·h edge and 8·n·h node floats
 /// with 2 hidden layers and layer norm) that makes Exa.TrkX skip large
 /// graphs; used by fits_memory_budget and the memory ablation bench.
 std::size_t ignn_activation_estimate(const IgnnConfig& config,

@@ -69,11 +69,12 @@ Var Mlp::forward(TapeContext& ctx, Var x) const {
 Var Mlp::forward(TapeContext& ctx, const std::vector<LinearTerm>& terms) const {
   Var h = layers_.front().forward(ctx, terms);
   for (std::size_t i = 1; i < layers_.size(); ++i) {
-    h = apply_activation(ctx.tape(), h, config_.hidden_activation);
     if (config_.layer_norm) {
       Var gamma = ctx.bind(*ln_gamma_[i - 1]);
       Var beta = ctx.bind(*ln_beta_[i - 1]);
-      h = ctx.tape().layer_norm(h, gamma, beta);
+      h = ctx.tape().relu_layer_norm(h, gamma, beta);
+    } else {
+      h = ctx.tape().relu(h);
     }
     h = layers_[i].forward(ctx, h);
   }
@@ -81,16 +82,14 @@ Var Mlp::forward(TapeContext& ctx, const std::vector<LinearTerm>& terms) const {
 }
 
 std::size_t mlp_tape_floats(const MlpConfig& config, std::size_t rows) {
-  const std::size_t hidden_act =
-      config.hidden_activation == Activation::kNone ? 0 : 1;
   const std::size_t out_act =
       config.output_activation == Activation::kNone ? 0 : 1;
   const std::size_t h = config.hidden_dim;
   std::size_t total = 0;
   std::size_t in = config.input_dim;
   for (std::size_t i = 0; i < config.num_hidden; ++i) {
-    total += (in + 1) * h + rows * h * (1 + hidden_act);
-    if (config.layer_norm) total += 2 * h + rows * h;
+    total += (in + 1) * h + 2 * rows * h;  // z and relu(z) or its norm
+    if (config.layer_norm) total += 2 * h;
     in = h;
   }
   return total + (in + 1) * config.output_dim +

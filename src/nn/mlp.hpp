@@ -32,16 +32,16 @@ class Linear {
 };
 
 /// Configuration for an MLP block as used throughout the Exa.TrkX
-/// pipeline: `num_hidden` hidden layers of width `hidden_dim`, hidden
-/// activation, optional per-layer LayerNorm, and an output activation.
+/// pipeline: `num_hidden` hidden layers of width `hidden_dim`, each a
+/// linear layer and a ReLU with optional LayerNorm, then an output
+/// activation.
 struct MlpConfig {
   std::size_t input_dim = 0;
   std::size_t hidden_dim = 0;
   std::size_t output_dim = 0;
   std::size_t num_hidden = 1;  ///< hidden layer count ("MLP Layers" in Table I is num_hidden+1 linear layers)
-  Activation hidden_activation = Activation::kRelu;
   Activation output_activation = Activation::kNone;
-  bool layer_norm = false;  ///< LayerNorm after each hidden activation
+  bool layer_norm = false;  ///< LayerNorm after each hidden ReLU
 };
 
 /// Multi-layer perceptron; the φ blocks in Algorithm 1.
@@ -69,9 +69,9 @@ class Mlp {
 
 /// Floats one Mlp::forward over `rows` input rows keeps on the tape: per
 /// linear layer the bound weight and bias (TapeContext::bind copies them
-/// onto the tape) and its output, per hidden layer its activation and,
-/// with layer norm, the bound gamma and beta and the normalised output,
-/// and the output activation unless it is kNone.
+/// onto the tape) and its output, per hidden layer its ReLU output or,
+/// with layer norm, the bound gamma and beta and the fused op's
+/// normalised output, and the output activation unless it is kNone.
 std::size_t mlp_tape_floats(const MlpConfig& config, std::size_t rows);
 
 }  // namespace trkx

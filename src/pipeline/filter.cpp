@@ -16,7 +16,6 @@ FilterModel::FilterModel(std::size_t node_feature_dim,
   mlp.hidden_dim = config.hidden_dim;
   mlp.output_dim = 1;
   mlp.num_hidden = config.num_hidden;
-  mlp.hidden_activation = Activation::kRelu;
   mlp.output_activation = Activation::kNone;
   mlp.layer_norm = true;
   Rng init_rng = rng_.split();

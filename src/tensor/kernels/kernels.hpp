@@ -40,10 +40,15 @@ using GemmFn = void (*)(const float* a, const float* b, float* c,
 ///   - ULP-bounded against scalar: gemm, gemm_nt, gemm_tn — the AVX2
 ///     microkernel accumulates each output in the scalar k order but
 ///     rounds once per FMA step (only the n == 1 dot-product paths
-///     reassociate) — and spmm, layer_norm_fwd, layer_norm_bwd_dx (FMA
-///     and reassociated 8-lane reductions), and tanh_fwd (std::tanh in the
-///     scalar table, a polynomial/exp approximation in the AVX2 one; both
-///     keep tanh(±0) = ±0, ±Inf → ±1 and NaN → NaN);
+///     reassociate) — and spmm, relu_layer_norm_fwd and the dz and dgamma
+///     of relu_layer_norm_bwd (FMA and reassociated 8-lane row sums, which
+///     x̂ inherits), and tanh_fwd (std::tanh in the scalar table, a
+///     polynomial/exp approximation in the AVX2 one; both keep tanh(±0) =
+///     ±0, ±Inf → ±1 and NaN → NaN); relu_layer_norm_bwd's dbeta, a
+///     row-order sum of dy alone, is bit-identical;
+///   - within one table, relu_layer_norm_fwd/bwd give byte for byte what
+///     relu_fwd, the historical layer norm, ew_mul, colwise_sum and
+///     relu_bwd give chained: the same row primitives in the same order;
 ///   - avx512 equals avx2 byte for byte on every entry: its GEMM tile
 ///     accumulates each output in the same k order with the same FMA and
 ///     mul-then-add steps, and every other entry is the AVX2 function;
@@ -103,16 +108,26 @@ struct KernelTable {
   void (*colwise_sum)(const float* a, float* o, std::size_t rows,
                       std::size_t cols);
 
-  /// Per-row layer norm: writes y = xhat*gamma + beta, the pre-affine
-  /// xhat, and per-row 1/sqrt(var + eps).
-  void (*layer_norm_fwd)(const float* x, const float* gamma,
-                         const float* beta, float* y, float* xhat,
-                         float* inv_std, std::size_t rows, std::size_t cols,
-                         float eps);
-  /// dx for layer norm given upstream dy, the saved xhat and inv_std.
-  void (*layer_norm_bwd_dx)(const float* dy, const float* gamma,
-                            const float* xhat, const float* inv_std,
-                            float* dx, std::size_t rows, std::size_t cols);
+  /// ReLU then layer norm over each row, the hidden block of every MLP
+  /// with layer norm: a = relu(z), mean = Σa/cols, inv_std =
+  /// 1/sqrt(Σ(a − mean)²/cols + eps), y = (a − mean)·inv_std·gamma + beta.
+  /// Writes y (overwritten) and each row's mean and inv_std, nothing else:
+  /// relu(z) and x̂ live only in y's row while it is computed.
+  void (*relu_layer_norm_fwd)(const float* z, const float* gamma,
+                              const float* beta, float* y, float* mean,
+                              float* inv_std, std::size_t rows,
+                              std::size_t cols, float eps);
+  /// Its backward from upstream dy and the saved z, mean and inv_std,
+  /// recomputing relu(z) and x̂ (all outputs overwritten). dz: the layer
+  /// norm's input gradient masked by z > 0, rows under OpenMP. dgamma =
+  /// Σ dy ⊙ x̂ and dbeta = Σ dy over rows in row order (the order of
+  /// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy)), serial. dz may be
+  /// null; dgamma and dbeta are both null or both given.
+  void (*relu_layer_norm_bwd)(const float* dy, const float* z,
+                              const float* gamma, const float* mean,
+                              const float* inv_std, float* dz, float* dgamma,
+                              float* dbeta, std::size_t rows,
+                              std::size_t cols);
 
   /// Fused Adam: updates w, m, v in place from gradient g.
   void (*adam_update)(float* w, const float* g, float* m, float* v,

@@ -438,6 +438,52 @@ inline void lnorm_bwd_row(const float* dyr, const float* g, const float* xh,
 #endif
 }
 
+/// The layer-norm parameter gradients over one strip of n columns of
+/// `rows` rows (row stride ld): dg[j] = Σ_i dy[i,j]·x̂[i,j] and db[j] =
+/// Σ_i dy[i,j], each summed in row order from +0, with x̂ = (relu(z) −
+/// mean[i])·inv_std[i] recomputed per element. Every step is one exact
+/// op in the order of vrelu, vsubmul, vmul and vadd_inplace, so the sums
+/// are the bytes of colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy) on
+/// every table. The AVX2 body keeps each 8-column strip's two sums in
+/// registers; its last n % 8 columns and the scalar body accumulate one
+/// column at a time.
+inline void lnorm_param_grads(const float* dy, const float* z, std::size_t ld,
+                              const float* mean, const float* inv_std,
+                              std::size_t rows, std::size_t n, float* dg,
+                              float* db) {
+  std::size_t j = 0;
+#if TRKX_KERNELS_AVX2
+  const __m256 zero = _mm256_setzero_ps();
+  for (; j + 8 <= n; j += 8) {
+    __m256 g8 = zero;
+    __m256 b8 = zero;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const __m256 d = _mm256_loadu_ps(dy + i * ld + j);
+      const __m256 a = _mm256_max_ps(_mm256_loadu_ps(z + i * ld + j), zero);
+      const __m256 xh =
+          _mm256_mul_ps(_mm256_sub_ps(a, _mm256_set1_ps(mean[i])),
+                        _mm256_set1_ps(inv_std[i]));
+      g8 = _mm256_add_ps(g8, _mm256_mul_ps(d, xh));
+      b8 = _mm256_add_ps(b8, d);
+    }
+    _mm256_storeu_ps(dg + j, g8);
+    _mm256_storeu_ps(db + j, b8);
+  }
+#endif
+  for (; j < n; ++j) {
+    float g = 0.0f;
+    float b = 0.0f;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const float zi = z[i * ld + j];
+      const float xh = ((zi > 0.0f ? zi : 0.0f) - mean[i]) * inv_std[i];
+      g += dy[i * ld + j] * xh;
+      b += dy[i * ld + j];
+    }
+    dg[j] = g;
+    db[j] = b;
+  }
+}
+
 /// One Adam block. Every operation is elementwise and correctly rounded
 /// (mul/add/sqrt/div), applied in the exact order of the historical
 /// scalar loop — so the AVX2 path is bit-identical to scalar and the
@@ -850,37 +896,52 @@ inline void colwise_sum(const float* a, float* o, std::size_t rows,
   }
 }
 
-inline void layer_norm_fwd(const float* x, const float* gamma,
-                           const float* beta, float* y, float* xhat,
-                           float* inv_std, std::size_t rows, std::size_t cols,
-                           float eps) {
+inline void relu_layer_norm_fwd(const float* z, const float* gamma,
+                                const float* beta, float* y, float* mean,
+                                float* inv_std, std::size_t rows,
+                                std::size_t cols, float eps) {
   TRKX_CHECK(cols > 0);
 #pragma omp parallel for schedule(static) default(none) \
-    shared(x, gamma, beta, y, xhat, inv_std) firstprivate(rows, cols, eps)
+    shared(z, gamma, beta, y, mean, inv_std) firstprivate(rows, cols, eps)
   for (std::size_t i = 0; i < rows; ++i) {
-    const float* xr = x + i * cols;
-    float m = sum_row(xr, cols);
+    // y's row holds relu(z), then x̂, then the output: each pass rewrites
+    // it in place.
+    float* yr = y + i * cols;
+    vrelu(z + i * cols, yr, cols);
+    float m = sum_row(yr, cols);
     m /= static_cast<float>(cols);  // NOLINT(trkx-div-guard): cols > 0 checked at entry
-    float var = sum_sq_diff(xr, m, cols);
+    float var = sum_sq_diff(yr, m, cols);
     var /= static_cast<float>(cols);  // NOLINT(trkx-div-guard): cols > 0 checked at entry
     const float is = 1.0f / std::sqrt(var + eps);
+    mean[i] = m;
     inv_std[i] = is;
-    float* nr = xhat + i * cols;
-    vsubmul(xr, m, is, nr, cols);
-    vmuladd3(nr, gamma, beta, y + i * cols, cols);
+    vsubmul(yr, m, is, yr, cols);
+    vmuladd3(yr, gamma, beta, yr, cols);
   }
 }
 
-inline void layer_norm_bwd_dx(const float* dy, const float* gamma,
-                              const float* xhat, const float* inv_std,
-                              float* dx, std::size_t rows, std::size_t cols) {
+inline void relu_layer_norm_bwd(const float* dy, const float* z,
+                                const float* gamma, const float* mean,
+                                const float* inv_std, float* dz, float* dgamma,
+                                float* dbeta, std::size_t rows,
+                                std::size_t cols) {
   TRKX_CHECK(cols > 0);
+  TRKX_CHECK((dgamma == nullptr) == (dbeta == nullptr));
+  if (dgamma != nullptr)
+    lnorm_param_grads(dy, z, cols, mean, inv_std, rows, cols, dgamma, dbeta);
+  if (dz == nullptr) return;
   const float inv_cols = 1.0f / static_cast<float>(cols);
 #pragma omp parallel for schedule(static) default(none) \
-    shared(dy, gamma, xhat, inv_std, dx) firstprivate(rows, cols, inv_cols)
+    shared(dy, z, gamma, mean, inv_std, dz) firstprivate(rows, cols, inv_cols)
   for (std::size_t i = 0; i < rows; ++i) {
-    lnorm_bwd_row(dy + i * cols, gamma, xhat + i * cols, inv_std[i],
-                  inv_cols, dx + i * cols, cols);
+    // dz's row holds x̂ = (relu(z) - mean)·inv_std, then the layer norm's
+    // input gradient, then dz: each pass rewrites it in place.
+    const float* zr = z + i * cols;
+    float* dzr = dz + i * cols;
+    vrelu(zr, dzr, cols);
+    vsubmul(dzr, mean[i], inv_std[i], dzr, cols);
+    lnorm_bwd_row(dy + i * cols, gamma, dzr, inv_std[i], inv_cols, dzr, cols);
+    vrelu_bwd(dzr, zr, dzr, cols);
   }
 }
 
@@ -908,8 +969,8 @@ inline const KernelTable& table() {
       &spmm,             &row_gather, &row_scatter_add,
       &ew_add,           &ew_sub,   &ew_mul,      &ew_scale,
       &ew_add_inplace,   &relu_fwd, &relu_bwd,    &tanh_fwd,
-      &tanh_bwd,         &colwise_sum, &layer_norm_fwd,
-      &layer_norm_bwd_dx, &adam_update,
+      &tanh_bwd,         &colwise_sum, &relu_layer_norm_fwd,
+      &relu_layer_norm_bwd, &adam_update,
   };
   return t;
 }

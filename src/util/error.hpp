@@ -13,6 +13,10 @@ namespace trkx {
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
+  /// Out of line (error.cpp), as is throw_check_failure: an inline copy
+  /// would be emitted in every translation unit that throws, the ISA
+  /// kernel units included, and the linker may keep any one of them.
+  ~Error() override;
 };
 
 /// File/stream failure (open, truncated read, short write). Messages carry
@@ -59,13 +63,12 @@ class FaultInjectedError : public Error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
-                                             int line, const std::string& msg) {
-  std::ostringstream os;
-  os << "TRKX_CHECK failed: (" << expr << ") at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw Error(os.str());
-}
+/// Throw the Error a failed TRKX_CHECK (no message) or TRKX_CHECK_MSG
+/// reports. TRKX_CHECK builds no std::string at its call site.
+[[noreturn]] void throw_check_failure(const char* expr, const char* file,
+                                      int line);
+[[noreturn]] void throw_check_failure(const char* expr, const char* file,
+                                      int line, const std::string& msg);
 }  // namespace detail
 
 }  // namespace trkx
@@ -76,7 +79,7 @@ namespace detail {
 #define TRKX_CHECK(expr)                                                   \
   do {                                                                     \
     if (!(expr))                                                           \
-      ::trkx::detail::throw_check_failure(#expr, __FILE__, __LINE__, ""); \
+      ::trkx::detail::throw_check_failure(#expr, __FILE__, __LINE__);     \
   } while (0)
 
 #define TRKX_CHECK_MSG(expr, msg)                                         \

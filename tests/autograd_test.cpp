@@ -194,6 +194,7 @@ TEST(Gradcheck, ScaleSubHadamard) {
 }
 
 TEST(Gradcheck, LayerNorm) {
+  // The fused op: layer norm of relu(x), so the gradient crosses both.
   Rng rng(7);
   Matrix x = Matrix::random_normal(4, 6, rng, 0.0f, 2.0f);
   Matrix gamma = Matrix::random_normal(1, 6, rng, 1.0f, 0.2f);
@@ -204,7 +205,7 @@ TEST(Gradcheck, LayerNorm) {
         Var x = tape.leaf(in[0], true);
         Var g = tape.leaf(in[1], true);
         Var b = tape.leaf(in[2], true);
-        Var loss = tape.mean_square(tape.layer_norm(x, g, b));
+        Var loss = tape.mean_square(tape.relu_layer_norm(x, g, b));
         const double v = loss.value()(0, 0);
         if (grads) {
           tape.backward(loss);

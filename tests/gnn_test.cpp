@@ -371,12 +371,15 @@ class ConcatenatedIgnn {
     Tape& t = ctx.tape();
     for (std::size_t i = 0; i < num_hidden; ++i) {
       const std::string layer = name + ".hidden" + std::to_string(i);
-      h = t.relu(t.linear(h, bind(ctx, layer + ".weight"),
-                          bind(ctx, layer + ".bias")));
+      h = t.linear(h, bind(ctx, layer + ".weight"),
+                   bind(ctx, layer + ".bias"));
       if (ln) {
         const std::string norm = name + ".ln" + std::to_string(i);
-        h = t.layer_norm(h, bind(ctx, norm + ".gamma"),
-                         bind(ctx, norm + ".beta"));
+        Var gamma = bind(ctx, norm + ".gamma");
+        Var beta = bind(ctx, norm + ".beta");
+        h = t.relu_layer_norm(h, gamma, beta);
+      } else {
+        h = t.relu(h);
       }
     }
     h = t.linear(h, bind(ctx, name + ".out.weight"),

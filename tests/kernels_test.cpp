@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -582,41 +583,206 @@ TEST(KernelEquivalence, SpmmClose) {
   expect_close(y1, y2, cols, "spmm");
 }
 
+/// The fused relu → layer-norm block's inputs: z and dy (rows×cols),
+/// gamma and beta. With `specials`, z carries NaN, ±0, ±Inf and a
+/// subnormal in its even rows and dy NaN, ±0 and ±Inf in its odd rows,
+/// one per row: relu maps z's NaN and -Inf to 0, a +Inf turns its row's
+/// x̂ into NaN, and a non-finite dy reaches its row of dz and its column
+/// of dgamma and dbeta.
+struct LayerNormCase {
+  std::vector<float> z, dy, gamma, beta;
+};
+
+LayerNormCase layer_norm_case(std::size_t rows, std::size_t cols,
+                              bool specials, Rng& rng) {
+  LayerNormCase c{random_vec(rows * cols, rng), random_vec(rows * cols, rng),
+                  random_vec(cols, rng, 0.5f, 1.5f), random_vec(cols, rng)};
+  if (!specials) return c;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float z_specials[] = {std::nanf(""), 0.0f, -0.0f, inf, -inf,
+                              std::numeric_limits<float>::denorm_min()};
+  const float dy_specials[] = {std::nanf(""), 0.0f, -0.0f, inf, -inf};
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t j = (i * 5 + 1) % cols;
+    if (i % 2 == 0) {
+      c.z[i * cols + j] = z_specials[(i / 2) % std::size(z_specials)];
+    } else {
+      c.dy[i * cols + j] = dy_specials[(i / 2) % std::size(dy_specials)];
+    }
+  }
+  return c;
+}
+
+/// The fused block's outputs under one table.
+struct LayerNormOut {
+  std::vector<float> y, mean, inv_std, dz, dgamma, dbeta;
+};
+
+LayerNormOut run_relu_layer_norm(const kernels::KernelTable& t,
+                                 const LayerNormCase& c, std::size_t rows,
+                                 std::size_t cols) {
+  // NaN-filled, so an output a kernel fails to write shows.
+  const float nan = std::nanf("");
+  LayerNormOut o{std::vector<float>(rows * cols, nan),
+                 std::vector<float>(rows, nan),
+                 std::vector<float>(rows, nan),
+                 std::vector<float>(rows * cols, nan),
+                 std::vector<float>(cols, nan),
+                 std::vector<float>(cols, nan)};
+  t.relu_layer_norm_fwd(c.z.data(), c.gamma.data(), c.beta.data(),
+                        o.y.data(), o.mean.data(), o.inv_std.data(), rows,
+                        cols, 1e-5f);
+  t.relu_layer_norm_bwd(c.dy.data(), c.z.data(), c.gamma.data(),
+                        o.mean.data(), o.inv_std.data(), o.dz.data(),
+                        o.dgamma.data(), o.dbeta.data(), rows, cols);
+  return o;
+}
+
+/// expect_close, except that a NaN must meet a NaN.
+void expect_close_or_nan(const std::vector<float>& ref,
+                         const std::vector<float>& got, std::size_t k,
+                         const char* what) {
+  ASSERT_EQ(ref.size(), got.size());
+  std::vector<float> r = ref, g = got;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ASSERT_EQ(std::isnan(r[i]), std::isnan(g[i]))
+        << what << " NaN mismatch at " << i << ": " << r[i] << " vs " << g[i];
+    if (std::isnan(r[i])) r[i] = g[i] = 0.0f;
+    if (std::isinf(r[i]) && r[i] == g[i]) r[i] = g[i] = 0.0f;
+  }
+  expect_close(r, g, k, what);
+}
+
 TEST(KernelEquivalence, ReductionsAndLayerNormClose) {
   SKIP_WITHOUT_AVX2();
-  const kernels::KernelTable& sc = kernels::scalar_table();
-  const kernels::KernelTable& vx = kernels::avx2_table();
+  // The fused relu → layer norm: y, dz and dgamma inherit avx2's
+  // reassociated row sums (x̂ does), so they are held to expect_close;
+  // dbeta sums dy alone in row order and must match bit for bit; the
+  // avx512 table must give the avx2 bytes.
   Rng rng(29);
-  for (std::size_t cols : {1u, 9u, 64u, 131u}) {
-    const std::size_t rows = 23;
-    const auto x = random_vec(rows * cols, rng);
-    const auto gamma = random_vec(cols, rng, 0.5f, 1.5f);
-    const auto beta = random_vec(cols, rng);
-    std::vector<float> y1(rows * cols), y2(rows * cols);
-    std::vector<float> xh1(rows * cols), xh2(rows * cols);
-    std::vector<float> is1(rows), is2(rows);
-    sc.layer_norm_fwd(x.data(), gamma.data(), beta.data(), y1.data(),
-                      xh1.data(), is1.data(), rows, cols, 1e-5f);
-    vx.layer_norm_fwd(x.data(), gamma.data(), beta.data(), y2.data(),
-                      xh2.data(), is2.data(), rows, cols, 1e-5f);
-    expect_close(y1, y2, cols, "layer_norm_fwd y");
-    expect_close(is1, is2, cols, "layer_norm_fwd inv_std");
+  for (bool specials : {false, true}) {
+    for (std::size_t cols : {1u, 9u, 64u, 131u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "cols " << cols << " specials " << specials);
+      const std::size_t rows = 23;
+      const LayerNormCase c = layer_norm_case(rows, cols, specials, rng);
+      const LayerNormOut sc =
+          run_relu_layer_norm(kernels::scalar_table(), c, rows, cols);
+      const LayerNormOut vx =
+          run_relu_layer_norm(kernels::avx2_table(), c, rows, cols);
+      expect_close_or_nan(sc.y, vx.y, cols, "relu_layer_norm_fwd y");
+      expect_close_or_nan(sc.inv_std, vx.inv_std, cols, "inv_std");
+      expect_close_or_nan(sc.dz, vx.dz, cols, "relu_layer_norm_bwd dz");
+      expect_close_or_nan(sc.dgamma, vx.dgamma, rows, "dgamma");
+      EXPECT_TRUE(bitwise_equal(sc.dbeta, vx.dbeta)) << "dbeta";
+      if (!kernels::host_has_avx512()) continue;
+      const LayerNormOut zx =
+          run_relu_layer_norm(kernels::avx512_table(), c, rows, cols);
+      for (const auto& [a, b, what] :
+           {std::tuple{&vx.y, &zx.y, "y"}, {&vx.mean, &zx.mean, "mean"},
+            {&vx.inv_std, &zx.inv_std, "inv_std"}, {&vx.dz, &zx.dz, "dz"},
+            {&vx.dgamma, &zx.dgamma, "dgamma"},
+            {&vx.dbeta, &zx.dbeta, "dbeta"}})
+        EXPECT_TRUE(bitwise_equal(*a, *b)) << "avx512 " << what;
+    }
+  }
+}
 
-    const auto dy = random_vec(rows * cols, rng);
-    std::vector<float> dx1(rows * cols), dx2(rows * cols);
-    sc.layer_norm_bwd_dx(dy.data(), gamma.data(), xh1.data(), is1.data(),
-                         dx1.data(), rows, cols);
-    vx.layer_norm_bwd_dx(dy.data(), gamma.data(), xh2.data(), is2.data(),
-                         dx2.data(), rows, cols);
-    expect_close(dx1, dx2, cols, "layer_norm_bwd_dx");
+/// The historical hidden block, literally: relu, the layer norm forward
+/// saving x̂ and 1/σ, then its backward — colwise_sum(hadamard(dy, x̂)),
+/// colwise_sum(dy), the layer norm's input gradient and relu_bwd — as the
+/// serial loops of the ops the fused kernels replaced.
+LayerNormOut historical_relu_layer_norm(const LayerNormCase& c,
+                                        std::size_t rows, std::size_t cols) {
+  const std::size_t n = rows * cols;
+  std::vector<float> a(n), xhat(n), inv_std(rows), prod(n), dx(n);
+  for (std::size_t k = 0; k < n; ++k) a[k] = c.z[k] > 0.0f ? c.z[k] : 0.0f;
+  LayerNormOut o{std::vector<float>(n), {}, {}, std::vector<float>(n),
+                 std::vector<float>(cols, 0.0f), std::vector<float>(cols, 0.0f)};
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* ar = a.data() + i * cols;
+    float m = 0.0f;
+    for (std::size_t j = 0; j < cols; ++j) m += ar[j];
+    m /= static_cast<float>(cols);
+    float var = 0.0f;
+    for (std::size_t j = 0; j < cols; ++j) var += (ar[j] - m) * (ar[j] - m);
+    var /= static_cast<float>(cols);
+    inv_std[i] = 1.0f / std::sqrt(var + 1e-5f);
+    for (std::size_t j = 0; j < cols; ++j) {
+      xhat[i * cols + j] = (ar[j] - m) * inv_std[i];
+      o.y[i * cols + j] = xhat[i * cols + j] * c.gamma[j] + c.beta[j];
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) prod[k] = c.dy[k] * xhat[k];
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      o.dgamma[j] += prod[i * cols + j];
+      o.dbeta[j] += c.dy[i * cols + j];
+    }
+  }
+  const float inv_cols = 1.0f / static_cast<float>(cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* dyr = c.dy.data() + i * cols;
+    const float* xh = xhat.data() + i * cols;
+    float sum_dyg = 0.0f, sum_dyg_xhat = 0.0f;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const float dyg = dyr[j] * c.gamma[j];
+      sum_dyg += dyg;
+      sum_dyg_xhat += dyg * xh[j];
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      const float dyg = dyr[j] * c.gamma[j];
+      dx[i * cols + j] = inv_std[i] * (dyg - inv_cols * sum_dyg -
+                                       xh[j] * inv_cols * sum_dyg_xhat);
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    o.dz[k] = c.z[k] > 0.0f ? dx[k] : 0.0f;
+  return o;
+}
+
+/// Bitwise equality, except that any NaN matches any NaN: where two NaNs
+/// meet (a NaN dy times a NaN x̂, summed into a NaN dgamma), x86 keeps the
+/// first operand's payload, and the compiler orders a scalar add's
+/// operands as it likes.
+bool bitwise_equal_or_nan(const std::vector<float>& a,
+                          const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
+      return false;
+  }
+  return true;
+}
+
+TEST(KernelEquivalence, ScalarReluLayerNormMatchesHistoricalLoops) {
+  // The scalar table is the reference: its fused kernels must give the
+  // historical chain's bytes exactly, specials included (up to which
+  // NaN a NaN is).
+  Rng rng(37);
+  for (bool specials : {false, true}) {
+    for (std::size_t cols : {1u, 9u, 64u, 131u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "cols " << cols << " specials " << specials);
+      const std::size_t rows = 23;
+      const LayerNormCase c = layer_norm_case(rows, cols, specials, rng);
+      const LayerNormOut fused =
+          run_relu_layer_norm(kernels::scalar_table(), c, rows, cols);
+      const LayerNormOut lit = historical_relu_layer_norm(c, rows, cols);
+      EXPECT_TRUE(bitwise_equal_or_nan(fused.y, lit.y)) << "y";
+      EXPECT_TRUE(bitwise_equal_or_nan(fused.dz, lit.dz)) << "dz";
+      EXPECT_TRUE(bitwise_equal_or_nan(fused.dgamma, lit.dgamma)) << "dgamma";
+      EXPECT_TRUE(bitwise_equal_or_nan(fused.dbeta, lit.dbeta)) << "dbeta";
+    }
   }
 }
 
 // ---------- gradcheck through each dispatch path ----------
 
-/// The representative tape program: matmul + layer_norm + sigmoid +
-/// mean_square touches gemm, gemm_nt/tn (backward), layer_norm fwd/bwd,
-/// and the elementwise kernels.
+/// The representative tape program: matmul + relu_layer_norm + sigmoid +
+/// mean_square touches gemm, gemm_nt/tn (backward), relu_layer_norm
+/// fwd/bwd, and the elementwise kernels.
 GradcheckResult gradcheck_network() {
   Rng rng(31);
   Matrix x = Matrix::random_normal(6, 5, rng);
@@ -630,7 +796,7 @@ GradcheckResult gradcheck_network() {
         Var w = tape.leaf(in[1], true);
         Var gamma = tape.leaf(in[2], true);
         Var beta = tape.leaf(in[3], true);
-        Var h = tape.layer_norm(tape.matmul(x, w), gamma, beta, 1e-5f);
+        Var h = tape.relu_layer_norm(tape.matmul(x, w), gamma, beta, 1e-5f);
         Var loss = tape.mean_square(tape.sigmoid(h));
         const double v = loss.value()(0, 0);
         if (grads) {

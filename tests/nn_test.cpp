@@ -204,7 +204,6 @@ TEST(MlpTest, GradcheckThroughWholeNetwork) {
   cfg.hidden_dim = 6;
   cfg.output_dim = 2;
   cfg.num_hidden = 1;
-  cfg.hidden_activation = Activation::kTanh;
   cfg.layer_norm = true;
   Mlp mlp(store, "m", cfg, rng);
   Matrix x = Matrix::random_normal(4, 3, rng);
@@ -422,7 +421,6 @@ TEST(TrainingSmoke, MlpFitsLinearFunction) {
   cfg.hidden_dim = 16;
   cfg.output_dim = 1;
   cfg.num_hidden = 1;
-  cfg.hidden_activation = Activation::kTanh;
   Mlp mlp(store, "m", cfg, rng);
   Adam opt(store, AdamOptions{.lr = 1e-2f});
 
