@@ -301,20 +301,16 @@ Var Tape::relu_layer_norm(Var z, Var gamma, Var beta, float eps) {
     const Matrix& zv = z.value();
     const std::size_t rows = zv.rows(), cols = zv.cols();
     TRKX_CHECK(n.grad.same_shape(zv));
-    const bool affine_rg =
-        t->node(gamma).requires_grad || t->node(beta).requires_grad;
-    const bool z_rg = t->node(z).requires_grad;
-    Matrix dgamma = affine_rg ? Matrix::uninit(1, cols) : Matrix{};
-    Matrix dbeta = affine_rg ? Matrix::uninit(1, cols) : Matrix{};
-    Matrix dz = z_rg ? Matrix::uninit(rows, cols) : Matrix{};
+    Matrix dgamma = Matrix::uninit(1, cols);
+    Matrix dbeta = Matrix::uninit(1, cols);
+    Matrix dz = Matrix::uninit(rows, cols);
     kernels::active().relu_layer_norm_bwd(
         n.grad.data(), zv.data(), gamma.value().data(), stats->data(),
-        stats->data() + rows, z_rg ? dz.data() : nullptr,
-        affine_rg ? dgamma.data() : nullptr,
-        affine_rg ? dbeta.data() : nullptr, rows, cols);
+        stats->data() + rows, dz.data(), dgamma.data(), dbeta.data(), rows,
+        cols);
     if (t->node(gamma).requires_grad) t->accumulate(gamma, std::move(dgamma));
     if (t->node(beta).requires_grad) t->accumulate(beta, std::move(dbeta));
-    if (z_rg) t->accumulate(z, std::move(dz));
+    if (t->node(z).requires_grad) t->accumulate(z, std::move(dz));
   });
 }
 

@@ -121,8 +121,7 @@ struct KernelTable {
   /// recomputing relu(z) and x̂ (all outputs overwritten). dz: the layer
   /// norm's input gradient masked by z > 0, rows under OpenMP. dgamma =
   /// Σ dy ⊙ x̂ and dbeta = Σ dy over rows in row order (the order of
-  /// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy)), serial. dz may be
-  /// null; dgamma and dbeta are both null or both given.
+  /// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy)), serial.
   void (*relu_layer_norm_bwd)(const float* dy, const float* z,
                               const float* gamma, const float* mean,
                               const float* inv_std, float* dz, float* dgamma,

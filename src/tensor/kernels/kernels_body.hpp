@@ -926,10 +926,7 @@ inline void relu_layer_norm_bwd(const float* dy, const float* z,
                                 float* dbeta, std::size_t rows,
                                 std::size_t cols) {
   TRKX_CHECK(cols > 0);
-  TRKX_CHECK((dgamma == nullptr) == (dbeta == nullptr));
-  if (dgamma != nullptr)
-    lnorm_param_grads(dy, z, cols, mean, inv_std, rows, cols, dgamma, dbeta);
-  if (dz == nullptr) return;
+  lnorm_param_grads(dy, z, cols, mean, inv_std, rows, cols, dgamma, dbeta);
   const float inv_cols = 1.0f / static_cast<float>(cols);
 #pragma omp parallel for schedule(static) default(none) \
     shared(dy, z, gamma, mean, inv_std, dz) firstprivate(rows, cols, inv_cols)
