@@ -438,28 +438,29 @@ inline void lnorm_bwd_row(const float* dyr, const float* g, const float* xh,
 #endif
 }
 
-/// The layer-norm parameter gradients over one strip of n columns of
-/// `rows` rows (row stride ld): dg[j] = Σ_i dy[i,j]·x̂[i,j] and db[j] =
-/// Σ_i dy[i,j], each summed in row order from +0, with x̂ = (relu(z) −
-/// mean[i])·inv_std[i] recomputed per element. Every step is one exact
-/// op in the order of vrelu, vsubmul, vmul and vadd_inplace, so the sums
-/// are the bytes of colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy) on
-/// every table. The AVX2 body keeps each 8-column strip's two sums in
-/// registers; its last n % 8 columns and the scalar body accumulate one
-/// column at a time.
-inline void lnorm_param_grads(const float* dy, const float* z, std::size_t ld,
+/// The layer-norm parameter gradients of a rows×cols block: dg[j] =
+/// Σ_i dy[i,j]·x̂[i,j] and db[j] = Σ_i dy[i,j], each summed in row order
+/// from +0, with x̂ = (relu(z) − mean[i])·inv_std[i] recomputed per
+/// element. Every step is one exact op in the order of vrelu, vsubmul,
+/// vmul and vadd_inplace, so the sums are the bytes of
+/// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy) on every table. The
+/// AVX2 body keeps each 8-column strip's two sums in registers over all
+/// rows; its last cols % 8 columns and the scalar body go one column at a
+/// time.
+inline void lnorm_param_grads(const float* dy, const float* z,
                               const float* mean, const float* inv_std,
-                              std::size_t rows, std::size_t n, float* dg,
+                              std::size_t rows, std::size_t cols, float* dg,
                               float* db) {
   std::size_t j = 0;
 #if TRKX_KERNELS_AVX2
   const __m256 zero = _mm256_setzero_ps();
-  for (; j + 8 <= n; j += 8) {
+  for (; j + 8 <= cols; j += 8) {
     __m256 g8 = zero;
     __m256 b8 = zero;
     for (std::size_t i = 0; i < rows; ++i) {
-      const __m256 d = _mm256_loadu_ps(dy + i * ld + j);
-      const __m256 a = _mm256_max_ps(_mm256_loadu_ps(z + i * ld + j), zero);
+      const __m256 d = _mm256_loadu_ps(dy + i * cols + j);
+      const __m256 a =
+          _mm256_max_ps(_mm256_loadu_ps(z + i * cols + j), zero);
       const __m256 xh =
           _mm256_mul_ps(_mm256_sub_ps(a, _mm256_set1_ps(mean[i])),
                         _mm256_set1_ps(inv_std[i]));
@@ -470,14 +471,14 @@ inline void lnorm_param_grads(const float* dy, const float* z, std::size_t ld,
     _mm256_storeu_ps(db + j, b8);
   }
 #endif
-  for (; j < n; ++j) {
+  for (; j < cols; ++j) {
     float g = 0.0f;
     float b = 0.0f;
     for (std::size_t i = 0; i < rows; ++i) {
-      const float zi = z[i * ld + j];
+      const float zi = z[i * cols + j];
       const float xh = ((zi > 0.0f ? zi : 0.0f) - mean[i]) * inv_std[i];
-      g += dy[i * ld + j] * xh;
-      b += dy[i * ld + j];
+      g += dy[i * cols + j] * xh;
+      b += dy[i * cols + j];
     }
     dg[j] = g;
     db[j] = b;
@@ -926,7 +927,7 @@ inline void relu_layer_norm_bwd(const float* dy, const float* z,
                                 float* dbeta, std::size_t rows,
                                 std::size_t cols) {
   TRKX_CHECK(cols > 0);
-  lnorm_param_grads(dy, z, cols, mean, inv_std, rows, cols, dgamma, dbeta);
+  lnorm_param_grads(dy, z, mean, inv_std, rows, cols, dgamma, dbeta);
   const float inv_cols = 1.0f / static_cast<float>(cols);
 #pragma omp parallel for schedule(static) default(none) \
     shared(dy, z, gamma, mean, inv_std, dz) firstprivate(rows, cols, inv_cols)
