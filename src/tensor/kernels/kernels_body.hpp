@@ -438,50 +438,87 @@ inline void lnorm_bwd_row(const float* dyr, const float* g, const float* xh,
 #endif
 }
 
+/// Rows per block of the layer-norm parameter gradients: about 16 KB of z
+/// and of dy, so a block stays in L1 while its column strips run over it.
+constexpr std::size_t kLnBlockFloats = 4096;
+
+#if TRKX_KERNELS_AVX2
+/// dg[0..8V) += Σ dy[i, ·]·x̂[i, ·] and db[0..8V) += Σ dy[i, ·] over rows
+/// [i0, i1) in row order (row stride cols), x̂ recomputed per element: V
+/// 8-lane strips side by side, their 2V sums in registers.
+template <std::size_t V>
+void lnorm_param_strip(const float* dy, const float* z, std::size_t cols,
+                       const float* mean, const float* inv_std,
+                       std::size_t i0, std::size_t i1, float* dg, float* db) {
+  const __m256 zero = _mm256_setzero_ps();
+  __m256 g[V], b[V];
+#pragma GCC unroll 2
+  for (std::size_t v = 0; v < V; ++v) {
+    g[v] = _mm256_loadu_ps(dg + 8 * v);
+    b[v] = _mm256_loadu_ps(db + 8 * v);
+  }
+  for (std::size_t i = i0; i < i1; ++i) {
+    const __m256 vm = _mm256_set1_ps(mean[i]);
+    const __m256 vs = _mm256_set1_ps(inv_std[i]);
+#pragma GCC unroll 2
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m256 d = _mm256_loadu_ps(dy + i * cols + 8 * v);
+      const __m256 a =
+          _mm256_max_ps(_mm256_loadu_ps(z + i * cols + 8 * v), zero);
+      const __m256 xh = _mm256_mul_ps(_mm256_sub_ps(a, vm), vs);
+      g[v] = _mm256_add_ps(g[v], _mm256_mul_ps(d, xh));
+      b[v] = _mm256_add_ps(b[v], d);
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm256_storeu_ps(dg + 8 * v, g[v]);
+    _mm256_storeu_ps(db + 8 * v, b[v]);
+  }
+}
+#endif
+
 /// The layer-norm parameter gradients of a rows×cols block: dg[j] =
 /// Σ_i dy[i,j]·x̂[i,j] and db[j] = Σ_i dy[i,j], each summed in row order
 /// from +0, with x̂ = (relu(z) − mean[i])·inv_std[i] recomputed per
 /// element. Every step is one exact op in the order of vrelu, vsubmul,
 /// vmul and vadd_inplace, so the sums are the bytes of
-/// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy) on every table. The
-/// AVX2 body keeps each 8-column strip's two sums in registers over all
-/// rows; its last cols % 8 columns and the scalar body go one column at a
-/// time.
+/// colwise_sum(hadamard(dy, x̂)) and colwise_sum(dy) on every table. Rows
+/// go in blocks of about kLnBlockFloats; per block the AVX2 body runs
+/// 16- then 8-column strips with their sums in registers, and its last
+/// cols % 8 columns and the scalar body go one column at a time. A sum
+/// waits in dg/db between blocks, which is exact.
 inline void lnorm_param_grads(const float* dy, const float* z,
                               const float* mean, const float* inv_std,
                               std::size_t rows, std::size_t cols, float* dg,
                               float* db) {
-  std::size_t j = 0;
+  if (cols == 0) return;
+  std::fill(dg, dg + cols, 0.0f);
+  std::fill(db, db + cols, 0.0f);
+  const std::size_t block = std::max<std::size_t>(1, kLnBlockFloats / cols);
+  for (std::size_t i0 = 0; i0 < rows; i0 += block) {
+    const std::size_t i1 = std::min(rows, i0 + block);
+    std::size_t j = 0;
 #if TRKX_KERNELS_AVX2
-  const __m256 zero = _mm256_setzero_ps();
-  for (; j + 8 <= cols; j += 8) {
-    __m256 g8 = zero;
-    __m256 b8 = zero;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const __m256 d = _mm256_loadu_ps(dy + i * cols + j);
-      const __m256 a =
-          _mm256_max_ps(_mm256_loadu_ps(z + i * cols + j), zero);
-      const __m256 xh =
-          _mm256_mul_ps(_mm256_sub_ps(a, _mm256_set1_ps(mean[i])),
-                        _mm256_set1_ps(inv_std[i]));
-      g8 = _mm256_add_ps(g8, _mm256_mul_ps(d, xh));
-      b8 = _mm256_add_ps(b8, d);
-    }
-    _mm256_storeu_ps(dg + j, g8);
-    _mm256_storeu_ps(db + j, b8);
-  }
+    for (; j + 16 <= cols; j += 16)
+      lnorm_param_strip<2>(dy + j, z + j, cols, mean, inv_std, i0, i1,
+                           dg + j, db + j);
+    for (; j + 8 <= cols; j += 8)
+      lnorm_param_strip<1>(dy + j, z + j, cols, mean, inv_std, i0, i1,
+                           dg + j, db + j);
 #endif
-  for (; j < cols; ++j) {
-    float g = 0.0f;
-    float b = 0.0f;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const float zi = z[i * cols + j];
-      const float xh = ((zi > 0.0f ? zi : 0.0f) - mean[i]) * inv_std[i];
-      g += dy[i * cols + j] * xh;
-      b += dy[i * cols + j];
+    for (; j < cols; ++j) {
+      float g = dg[j];
+      float b = db[j];
+      for (std::size_t i = i0; i < i1; ++i) {
+        const float zi = z[i * cols + j];
+        const float xh = ((zi > 0.0f ? zi : 0.0f) - mean[i]) * inv_std[i];
+        g += dy[i * cols + j] * xh;
+        b += dy[i * cols + j];
+      }
+      dg[j] = g;
+      db[j] = b;
     }
-    dg[j] = g;
-    db[j] = b;
   }
 }
 
