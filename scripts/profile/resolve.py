@@ -12,11 +12,13 @@ Reads the file libtrkx_sigprof.so writes (see sigprof.cpp), names every
 frame with addr2line (inlined frames included), then counts each sample
 once per grouping:
 
-  phase   the outermost context on the stack: evaluation (evaluate_edges,
-          predict) > sampling (src/sampling, sparse/sample.cpp,
-          gather_sample) > sync (src/dist) > optimizer (nn/optimizer.cpp)
-          > backward (Tape::backward) > forward (a Tape op or Mlp/GNN
-          forward) > other
+  phase   evaluation when evaluate_edges or predict is on the stack,
+          else the innermost of: sampling (src/sampling,
+          sparse/sample.cpp, gather_sample), sync (Communicator,
+          TimeoutBarrier, dist/gradient_sync.cpp), optimizer
+          (nn/optimizer.cpp), or a Tape op or forward(), which counts as
+          backward under Tape::backward and as forward otherwise; else
+          other
   op      within forward and backward, the innermost Tape op on the stack
           (a backward closure counts as its op), or "accumulate" when only
           Tape::accumulate is there
@@ -140,20 +142,28 @@ def short_name(fn):
     return fn[start:]
 
 
+SAMPLING = re.compile(r"/src/sampling/|/src/sparse/sample\.|gather_sample")
+SYNC = re.compile(r"trkx::(Communicator|TimeoutBarrier)::|/src/dist/gradient_sync\.")
+BACKWARD = re.compile(r"trkx::Tape::backward\(|trkx::TapeContext::backward\(")
+TAPE = re.compile(r"trkx::Tape::|trkx::TapeContext::|::forward\(")
+
+
 def phase_of(frames):
-    text = "\n".join(f"{fn}\t{src}" for fn, src in frames)
-    if re.search(r"evaluate_edges|::predict\(", text):
+    """Evaluation when evaluate_edges or predict is on the stack (it runs
+    forward passes of its own); otherwise the innermost phase marker."""
+    text = [f"{fn}\t{src}" for fn, src in frames]
+    if any(re.search(r"evaluate_edges|::predict\(", t) for t in text):
         return "evaluation"
-    if re.search(r"/src/sampling/|/src/sparse/sample\.|gather_sample", text):
-        return "sampling"
-    if "/src/dist/" in text:
-        return "sync"
-    if "/src/nn/optimizer." in text:
-        return "optimizer"
-    if re.search(r"trkx::Tape::backward\(|trkx::TapeContext::backward\(", text):
-        return "backward"
-    if re.search(r"trkx::Tape::|::forward\(", text):
-        return "forward"
+    for t in text:  # innermost first
+        if SAMPLING.search(t):
+            return "sampling"
+        if SYNC.search(t):
+            return "sync"
+        if "/src/nn/optimizer." in t:
+            return "optimizer"
+        if TAPE.search(t):
+            return ("backward" if any(BACKWARD.search(u) for u in text)
+                    else "forward")
     return "other"
 
 
