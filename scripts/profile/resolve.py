@@ -33,6 +33,7 @@ broken unwinder or resolver fails loudly.
 
 import argparse
 import collections
+import functools
 import os
 import re
 import subprocess
@@ -75,6 +76,7 @@ def load(path):
     return meta, sorted(maps), samples
 
 
+@functools.lru_cache(maxsize=None)
 def is_fixed_address(path):
     """True for a non-PIE executable (ELF type ET_EXEC), whose symbols sit
     at their run-time addresses."""
@@ -209,7 +211,10 @@ def report(path, top):
         kernel = kernel_of(frames)
         if kernel:
             by_kernel[kernel] += 1
-        by_leaf[short_name(frames[0][0])] += 1
+        # The innermost frame that is not a vector intrinsic.
+        leaf = next((fn for fn, _ in frames if not fn.startswith("_mm")),
+                    frames[0][0])
+        by_leaf[short_name(leaf)] += 1
     return {"file": path, "exe": meta.get("exe", ""),
             "interval_us": int(meta.get("interval_us", "0") or 0),
             "samples": len(samples), "dropped": int(meta.get("dropped", "0")),
