@@ -1,7 +1,9 @@
 // Ablation A4: Interaction GNN forward/backward cost and activation
 // memory versus graph size — the "memory wall" (paper §III-B) that makes
 // full-graph Exa.TrkX training skip large events, and the motivation for
-// minibatch ShaDow training.
+// minibatch ShaDow training. Each step reports the activations its tape
+// keeps (activation_MB) and the tape's measured high-water, activations
+// plus the gradients held at once during backward (tape_peak_MB).
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +41,7 @@ void BM_IgnnFullGraphStep(benchmark::State& state) {
                  1);
   Adam opt(model.store, AdamOptions{});
   std::vector<float> labels(e.edge_labels.begin(), e.edge_labels.end());
-  std::size_t activation_floats = 0;
+  std::size_t activation_floats = 0, peak_floats = 0;
   for (auto _ : state) {
     TapeContext ctx;
     Var logits = model.gnn->forward(ctx, e.node_features, e.edge_features,
@@ -49,12 +51,14 @@ void BM_IgnnFullGraphStep(benchmark::State& state) {
     ctx.backward(loss);
     opt.step();
     activation_floats = ctx.tape().activation_floats();
+    peak_floats = ctx.tape().peak_floats();
     benchmark::DoNotOptimize(loss);
   }
   state.counters["vertices"] = static_cast<double>(e.num_hits());
   state.counters["edges"] = static_cast<double>(e.num_edges());
   state.counters["activation_MB"] =
       static_cast<double>(activation_floats) * 4.0 / 1e6;
+  state.counters["tape_peak_MB"] = static_cast<double>(peak_floats) * 4.0 / 1e6;
 }
 BENCHMARK(BM_IgnnFullGraphStep)->Arg(2)->Arg(5)->Arg(10)->Iterations(3)
     ->Unit(benchmark::kMillisecond);
@@ -71,7 +75,7 @@ void BM_IgnnShadowStep(benchmark::State& state) {
   Rng rng(7);
   Rng batch_rng(8);
   auto batches = make_minibatches(e.num_hits(), 128, batch_rng);
-  std::size_t activation_floats = 0;
+  std::size_t activation_floats = 0, peak_floats = 0;
   std::size_t bi = 0;
   for (auto _ : state) {
     const auto& batch = batches[bi++ % batches.size()];
@@ -90,11 +94,13 @@ void BM_IgnnShadowStep(benchmark::State& state) {
     ctx.backward(loss);
     opt.step();
     activation_floats = ctx.tape().activation_floats();
+    peak_floats = ctx.tape().peak_floats();
     benchmark::DoNotOptimize(loss);
   }
   state.counters["event_vertices"] = static_cast<double>(e.num_hits());
   state.counters["activation_MB"] =
       static_cast<double>(activation_floats) * 4.0 / 1e6;
+  state.counters["tape_peak_MB"] = static_cast<double>(peak_floats) * 4.0 / 1e6;
 }
 BENCHMARK(BM_IgnnShadowStep)->Arg(2)->Arg(5)->Arg(10)->Iterations(5)
     ->Unit(benchmark::kMillisecond);

@@ -1,5 +1,6 @@
 #include "autograd/tape.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include <cmath>
@@ -19,7 +20,15 @@ const Matrix& Var::value() const {
 const Matrix& Var::grad() const {
   TRKX_CHECK(tape_ != nullptr);
   const auto& n = tape_->node(*this);
-  TRKX_CHECK_MSG(!n.grad.empty(), "grad() read before backward()");
+  if (n.grad.empty()) {
+    TRKX_CHECK_MSG(tape_->backward_done_, "grad() read before backward()");
+    TRKX_CHECK_MSG(!n.backward, "grad() of computed node '"
+                                    << n.op
+                                    << "' read after backward(), which "
+                                       "released it: only leaves keep "
+                                       "their gradients");
+    TRKX_CHECK_MSG(false, "grad() of a leaf that received no gradient");
+  }
   return n.grad;
 }
 
@@ -41,9 +50,15 @@ Var Tape::emit(Matrix value, bool requires_grad, const char* op,
                    "TRKX_CHECK_NUMERICS: non-finite value in forward output of '"
                        << op << "'");
   }
+  hold(value.size());
   nodes_.push_back(Node{std::move(value), Matrix{}, requires_grad, op,
                         std::move(backward)});
   return Var(this, nodes_.size() - 1);
+}
+
+void Tape::hold(std::size_t floats) {
+  live_floats_ += floats;
+  peak_floats_ = std::max(peak_floats_, live_floats_);
 }
 
 void Tape::accumulate(Var v, Matrix g) {
@@ -56,6 +71,7 @@ void Tape::accumulate(Var v, Matrix g) {
   Node& n = node(v);
   if (!n.requires_grad) return;
   if (n.grad.empty()) {
+    hold(g.size());
     n.grad = std::move(g);
   } else {
     add_inplace(n.grad, g);
@@ -570,6 +586,7 @@ void Tape::backward(Var root) {
   TRKX_CHECK_MSG(r.value.rows() == 1 && r.value.cols() == 1,
                  "backward root must be scalar, got " << r.value.shape_str());
   r.grad = Matrix(1, 1, 1.0f);
+  hold(1);
   TRKX_CHECK(root.index_ < nodes_.size());
   for (std::size_t i = root.index_ + 1; i-- > 0;) {
     Node& n = nodes_[i];
@@ -578,6 +595,10 @@ void Tape::backward(Var root) {
     // produced a non-finite gradient under TRKX_CHECK_NUMERICS.
     current_backward_op_ = n.op;
     n.backward(n);
+    // The closure was the gradient's last reader: it only pushes into the
+    // node's inputs, which sit earlier on the tape.
+    live_floats_ -= n.grad.size();
+    n.grad = Matrix{};
   }
   current_backward_op_ = nullptr;
 }

@@ -51,6 +51,13 @@ struct LinearTerm {
 /// reverse, accumulating gradients into each node. Nodes whose subtree
 /// contains no gradient-requiring leaf skip gradient work entirely.
 ///
+/// Lifetime: every node's value lives as long as the tape. A computed
+/// node's gradient is released as soon as its backward closure has pushed
+/// it to the node's inputs (they sit earlier on the tape, so nothing reads
+/// it again); only leaves keep their gradients after backward(). A step
+/// therefore holds its activations plus one frontier of gradients, not a
+/// gradient per activation.
+///
 /// The op set is exactly what the Exa.TrkX pipeline needs: dense linear
 /// algebra for the MLPs plus the two graph primitives from Algorithm 1 of
 /// the paper: MSG indexing (a gather, inside an indexed LinearTerm for
@@ -126,8 +133,9 @@ class Tape {
   /// root gradient with 1. May be called once per tape.
   void backward(Var root);
 
-  /// True if backward() produced a gradient for v (a node can legitimately
-  /// receive none when its branch does not reach the loss).
+  /// True if v holds a gradient: after backward(), a leaf whose branch
+  /// reaches the loss (a leaf can legitimately receive none). Always false
+  /// for a computed node once backward() has run, as it released them.
   bool has_grad(Var v) const { return !node(v).grad.empty(); }
 
   /// Number of recorded nodes (for tests / memory accounting).
@@ -135,6 +143,10 @@ class Tape {
   /// Total floats held in node values — the "activation memory" that the
   /// paper's full-graph mode blows up on; exposed for the memory bench.
   std::size_t activation_floats() const;
+  /// The most floats held at once in node values and gradients over the
+  /// tape's life so far (closure temporaries excluded): the tape's
+  /// high-water, which backward() reaches on top of activation_floats().
+  std::size_t peak_floats() const { return peak_floats_; }
 
  private:
   struct Node {
@@ -164,11 +176,15 @@ class Tape {
   /// node is a buffer move, not a copy, so the allocator sees one
   /// allocation per gradient instead of two.
   void accumulate(Var v, Matrix g);
+  /// Count `floats` more as held in node values and gradients.
+  void hold(std::size_t floats);
 
   friend class Var;
   std::deque<Node> nodes_;
   bool backward_done_ = false;
   const char* current_backward_op_ = nullptr;  // op whose closure is running
+  std::size_t live_floats_ = 0;  // floats now held in values and gradients
+  std::size_t peak_floats_ = 0;  // the most live_floats_ has been
 };
 
 }  // namespace trkx

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/tape.hpp"
@@ -399,6 +400,80 @@ TEST(TapeTest, ActivationFloatsCounts) {
   Var x = tape.leaf(Matrix(10, 4), false);
   (void)tape.relu(x);
   EXPECT_EQ(tape.activation_floats(), 80u);
+}
+
+TEST(TapeTest, BackwardReleasesComputedGradients) {
+  Rng rng(161);
+  Tape tape;
+  Var x = tape.leaf(Matrix::random_normal(4, 3, rng), true);
+  Var w = tape.leaf(Matrix::random_normal(3, 2, rng), true);
+  Var c = tape.leaf(Matrix::random_normal(4, 2, rng), false);
+  Var m = tape.matmul(x, w);
+  Var h = tape.tanh(tape.add(m, c));
+  Var loss = tape.mean_square(h);
+  const Matrix h_before = h.value();
+  tape.backward(loss);
+  // Leaves on the loss's branch keep their gradients.
+  ASSERT_TRUE(tape.has_grad(x));
+  ASSERT_TRUE(tape.has_grad(w));
+  EXPECT_TRUE(x.grad().same_shape(x.value()));
+  EXPECT_TRUE(w.grad().same_shape(w.value()));
+  EXPECT_FALSE(tape.has_grad(c));
+  // Computed nodes, the loss included, had theirs released; values stay.
+  for (Var v : {m, h, loss}) {
+    EXPECT_FALSE(tape.has_grad(v));
+    try {
+      (void)v.grad();
+      FAIL() << "grad() of a computed node must throw after backward()";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("released"), std::string::npos) << what;
+    }
+  }
+  EXPECT_TRUE(h.value() == h_before);
+  EXPECT_TRUE(std::isfinite(loss.value()(0, 0)));
+}
+
+TEST(TapeTest, PeakFloatsHoldsOneFrontierOfGradients) {
+  Tape tape;
+  Var x = tape.leaf(Matrix(4, 3, 0.5f), true);    // 12
+  Var w = tape.leaf(Matrix(3, 2, -0.25f), true);  // 6
+  Var h = tape.tanh(tape.matmul(x, w));           // 8 + 8
+  Var loss = tape.mean_square(h);                 // 1
+  EXPECT_EQ(tape.activation_floats(), 35u);
+  EXPECT_EQ(tape.peak_floats(), 35u);
+  tape.backward(loss);
+  // The matmul's gradient (8) is still held when x's (12) and w's (6)
+  // arrive, while the root's (1) and h's (8) are gone: 35 + 26. Keeping
+  // every gradient would reach 35 + 35.
+  EXPECT_EQ(tape.peak_floats(), 61u);
+}
+
+/// The gradient floats held at the backward peak of a chain of `depth`
+/// MLP hidden blocks (linear, then relu → layer norm), 64 rows of width
+/// 16, beyond the activations. The weights are constants, so the input is
+/// the only leaf that keeps a gradient.
+std::size_t chain_peak_gradient_floats(std::size_t depth) {
+  Rng rng(171);
+  Tape tape;
+  Var h = tape.leaf(Matrix::random_normal(64, 16, rng), true);
+  for (std::size_t l = 0; l < depth; ++l) {
+    Var w = tape.leaf(Matrix::random_normal(16, 16, rng, 0.0f, 0.25f), false);
+    Var b = tape.leaf(Matrix::random_normal(1, 16, rng), false);
+    Var gamma = tape.leaf(Matrix(1, 16, 1.0f), false);
+    Var beta = tape.leaf(Matrix(1, 16, 0.0f), false);
+    h = tape.relu_layer_norm(tape.linear(h, w, b), gamma, beta);
+  }
+  tape.backward(tape.mean_square(h));
+  return tape.peak_floats() - tape.activation_floats();
+}
+
+TEST(TapeTest, MlpChainPeakGradientsDoNotGrowWithDepth) {
+  // Two 64×16 gradients at once, a node's and the one it pushes into its
+  // input, at every depth; keeping them all would hold two per block.
+  for (std::size_t depth : {1, 2, 4, 8})
+    EXPECT_EQ(chain_peak_gradient_floats(depth), 2u * 64 * 16)
+        << depth << " blocks";
 }
 
 // ---------- randomized expression gradchecks ----------

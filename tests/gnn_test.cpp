@@ -241,6 +241,31 @@ TEST(IgnnTest, ActivationEstimateMatchesTape) {
   }
 }
 
+TEST(IgnnTest, TrainingStepPeakIsActivationsPlusOneFrontier) {
+  // backward() releases each computed node's gradient once consumed, so a
+  // step's tape high-water is its activations plus the gradients still
+  // owed: mostly those of x⁰ and y⁰, which every layer adds into, and of
+  // the layer in flight. Keeping every gradient would come to about 2×.
+  const IgnnConfig cfg = ctd_config();
+  ParameterStore store;
+  Rng rng(43);
+  InteractionGnn gnn(store, cfg, rng);
+  const Graph g = random_edges(400, 1000, rng);
+  const Matrix x = Matrix::random_normal(400, 14, rng);
+  const Matrix y = Matrix::random_normal(1000, 8, rng);
+  std::vector<float> labels(1000);
+  for (float& l : labels) l = rng.uniform() < 0.3 ? 1.0f : 0.0f;
+  TapeContext ctx;
+  Var loss = ctx.tape().bce_with_logits(gnn.forward(ctx, x, y, g), labels);
+  const std::size_t activations = ctx.tape().activation_floats();
+  EXPECT_EQ(ctx.tape().peak_floats(), activations);
+  ctx.backward(loss);
+  const double ratio = static_cast<double>(ctx.tape().peak_floats()) /
+                       static_cast<double>(activations);
+  EXPECT_LE(ratio, 1.25) << "peak " << ctx.tape().peak_floats()
+                         << " floats, activations " << activations;
+}
+
 TEST(IgnnTest, ActivationEstimateGrowsWithGraph) {
   IgnnConfig cfg = tiny_config();
   const std::size_t small = ignn_activation_estimate(cfg, 100, 300);
