@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "bench_gb_json.hpp"
 #include "dist/communicator.hpp"
@@ -31,9 +32,11 @@ ParameterStore ignn_like_store(std::size_t layers, std::size_t f) {
   ParameterStore s;
   std::size_t id = 0;
   auto mlp = [&](std::size_t in) {
-    s.create("w" + std::to_string(id), in, f);
-    s.create("b" + std::to_string(id), 1, f);
-    ++id;
+    // Appended, not "w" + std::to_string(id): GCC 12's -Wrestrict
+    // misreads that overload's insert at -O3.
+    const std::string n = std::to_string(id++);
+    s.create(std::string("w").append(n), in, f);
+    s.create(std::string("b").append(n), 1, f);
   };
   mlp(14);      // node encoder
   mlp(8);       // edge encoder

@@ -14,8 +14,11 @@
 // time plus derived gb_per_sec / gflops_per_sec, the AVX2 and AVX-512
 // series add speedup_vs_scalar and the AVX-512 ones speedup_vs_avx2, so
 // the regression gate and the DESIGN.md roofline tables read straight off
-// the artifact. A host without AVX2+FMA emits the scalar series only, one
-// without AVX-512F no avx512 series.
+// the artifact. The AVX-512 table differs from AVX2 only in gemm, gemm_nt
+// and gemm_tn, so its series cover the GEMM cases alone (every case whose
+// name starts with "gemm"): any other avx512 row would time avx2's own
+// function again. A host without AVX2+FMA emits the scalar series only,
+// one without AVX-512F no avx512 series.
 
 #include <algorithm>
 #include <chrono>
@@ -24,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -367,7 +371,9 @@ void run_isa(const kernels::KernelTable& t, int reps, int inner,
                    kEdges, kHidden});
 
   const std::string isa = t.name;
+  const bool gemms_only = &t == &kernels::avx512_table();
   for (const Case& k : cases) {
+    if (gemms_only && !std::string_view(k.name).starts_with("gemm")) continue;
     const double sec = median_seconds(reps, inner, k.fn);
     timings[isa][k.name] = sec;
     auto& s = json.series(std::string(k.name) + "/" + isa);

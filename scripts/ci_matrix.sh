@@ -32,6 +32,10 @@
 #                analysis an error under Clang); the build is the check,
 #                no tests run. Recorded as skipped without clang++: the
 #                annotations compile as no-ops under GCC
+#   werror       Release (-O3) build of every target with TRKX_WERROR=ON;
+#                the build is the check, no tests run. -O3 inlines more
+#                than the RelWithDebInfo legs, and GCC warns on what it
+#                inlines
 #   serve        serving robustness leg: trkx-serve driven end-to-end
 #                under a TRKX_FAULTS matrix (transient/persistent stage
 #                faults, admission faults, overload, corrupt-checkpoint
@@ -463,6 +467,10 @@ if wants tsa; then
   else
     record tsa pass 0 "skipped (clang++ not installed)"
   fi
+fi
+
+if wants werror; then
+  build_and_test werror -R '^$' -- -DCMAKE_BUILD_TYPE=Release -DTRKX_WERROR=ON
 fi
 
 # ---- summary JSON ----

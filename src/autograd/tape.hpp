@@ -20,6 +20,9 @@ class Var {
   Var() = default;
 
   const Matrix& value() const;
+  /// A leaf's gradient after backward(). Throws before backward(), for a
+  /// leaf that received none and for a computed node, whose gradient
+  /// backward() released.
   const Matrix& grad() const;
   bool requires_grad() const;
   std::size_t rows() const { return value().rows(); }
@@ -135,7 +138,7 @@ class Tape {
 
   /// True if v holds a gradient: after backward(), a leaf whose branch
   /// reaches the loss (a leaf can legitimately receive none). Always false
-  /// for a computed node once backward() has run, as it released them.
+  /// for a computed node once backward() has run, which released it.
   bool has_grad(Var v) const { return !node(v).grad.empty(); }
 
   /// Number of recorded nodes (for tests / memory accounting).
@@ -151,7 +154,8 @@ class Tape {
  private:
   struct Node {
     Matrix value;
-    Matrix grad;            // lazily sized on first accumulation
+    Matrix grad;            // sized on first accumulation; a computed
+                            // node's is released after its closure runs
     bool requires_grad = false;
     const char* op = "leaf";  // static op name, for numerics diagnostics
     std::function<void(Node&)> backward;  // reads node.grad, pushes to parents

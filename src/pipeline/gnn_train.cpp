@@ -88,8 +88,11 @@ float auto_pos_weight(const std::vector<Event>& events) {
 
 std::size_t full_graph_memory_estimate(const IgnnConfig& config,
                                        const Event& event) {
-  // Forward activations (retained for backprop) plus roughly 2× again for
-  // gradients and transient workspace.
+  // Forward activations (retained for backprop) × 3: a model of the
+  // paper's device, where a PyTorch step also holds gradients and
+  // workspace, not of this tape. Tape::backward releases each computed
+  // gradient once consumed, so a step here peaks at 1.1–1.25× its
+  // activations (Tape::peak_floats(), bench_ignn's tape_peak_MB).
   const std::size_t activation_floats = ignn_activation_estimate(
       config, event.num_hits(), event.num_edges());
   return activation_floats * sizeof(float) * 3;

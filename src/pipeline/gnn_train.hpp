@@ -156,8 +156,9 @@ std::vector<std::uint32_t> shard_batch(const std::vector<std::uint32_t>& batch,
 float auto_pos_weight(const std::vector<Event>& events);
 
 /// Estimated bytes of device memory a full-graph training step on `event`
-/// would need (activations + gradient/workspace overhead) — the quantity
-/// the paper's memory wall compares against GPU capacity.
+/// would need on the paper's device (activations × 3, for gradients and
+/// workspace) — the quantity its memory wall compares against GPU
+/// capacity. This tape's own high-water is lower (Tape::peak_floats()).
 std::size_t full_graph_memory_estimate(const IgnnConfig& config,
                                        const Event& event);
 

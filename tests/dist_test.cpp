@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 
 #include "dist/communicator.hpp"
 #include "dist/gradient_sync.hpp"
@@ -285,8 +286,12 @@ TEST(GradientSyncTest, CoalescedModeledTimeIsLower) {
   std::vector<ParameterStore> s1(4), s2(4);
   for (int r = 0; r < 4; ++r) {
     for (int i = 0; i < 20; ++i) {
-      s1[r].create("p" + std::to_string(i), 64, 64);
-      s2[r].create("p" + std::to_string(i), 64, 64);
+      // Appended, not "p" + std::to_string(i): GCC 12's -Wrestrict
+      // misreads that overload's insert at -O3.
+      std::string name = "p";
+      name += std::to_string(i);
+      s1[r].create(name, 64, 64);
+      s2[r].create(name, 64, 64);
     }
   }
   rt_sep.run([&](Communicator& comm) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -487,29 +488,92 @@ void expect_avx512_gemms_match(const std::vector<float>& a, std::size_t m,
   }
 }
 
-TEST(KernelEquivalence, Avx512GemmsMatchAvx2Bytes) {
-  SKIP_WITHOUT_AVX512();
-  Rng rng(37);
-  const int threads_before = omp_get_max_threads();
-  // Both sides of the 12-row tile edge, the 16- and 32-column panels, the
-  // 8-column FMA/mul-add boundary and the 256-deep k-block, at the IGNN
-  // row counts (V = 2580, E = 6451); gemm_tn also reduces over k = 6451
-  // rows. Each OpenMP thread count splits the row tiles differently.
-  for (int threads : {1, 3}) {
-    omp_set_num_threads(threads);
-    SCOPED_TRACE(::testing::Message() << threads << " OpenMP threads");
-    for (std::size_t m : {1u, 11u, 12u, 13u, 25u, 2580u, 6451u})
-      for (std::size_t k : {0u, 1u, 8u, 14u, 32u, 255u, 256u, 257u, 6451u}) {
-        const auto a = gemm_operand(m * k, rng);
-        const auto gemms =
-            k == 6451 ? std::span(kGemms).first(1) : std::span(kGemms);
-        for (std::size_t n : {1u, 2u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 24u,
-                              31u, 32u, 33u, 40u, 64u, 192u})
-          expect_avx512_gemms_match(a, m, k, n, rng, gemms);
+/// One shard of the avx2-vs-avx512 GEMM grid: an OpenMP thread count, a
+/// row count m and the depths k and widths n it covers, with its own Rng
+/// seed. The grid crosses both sides of the 12-row tile edge, the 16- and
+/// 32-column panels, the 8-column FMA/mul-add boundary and the 256-deep
+/// k-block, at the IGNN row counts (V = 2580, E = 6451); gemm_tn also
+/// reduces over k = 6451 rows. Each OpenMP thread count splits the row
+/// tiles differently. m = 6451 takes one shard per k, and its largest
+/// product, gemm_tn over 6451 × 6451, two, so that no shard holds the
+/// suite up.
+struct Avx512GemmShard {
+  std::string name;  // threads, m, and k and n where the shard has one part
+  int threads;
+  std::size_t m;
+  std::vector<std::size_t> ks, ns;
+  std::uint64_t seed;
+};
+
+std::vector<Avx512GemmShard> avx512_gemm_shards() {
+  const std::vector<std::size_t> ks = {0, 1, 8, 14, 32, 255, 256, 257, 6451};
+  const std::vector<std::size_t> ns = {1,  2,  4,  7,  8,  9,  15, 16,
+                                       17, 24, 31, 32, 33, 40, 64, 192};
+  std::vector<Avx512GemmShard> shards;
+  const auto add = [&](int threads, std::size_t m, std::vector<std::size_t> k,
+                       std::vector<std::size_t> n) {
+    std::string name = "threads";
+    name += std::to_string(threads);
+    name += "_m";
+    name += std::to_string(m);
+    if (k.size() == 1) {
+      name += "_k";
+      name += std::to_string(k.front());
+    }
+    if (n != ns) {
+      name += "_n";
+      name += std::to_string(n.front());
+      name += "to";
+      name += std::to_string(n.back());
+    }
+    const std::uint64_t seed = 37 + shards.size();
+    shards.push_back({name, threads, m, std::move(k), std::move(n), seed});
+  };
+  for (int threads : {1, 3})
+    for (std::size_t m : {1u, 11u, 12u, 13u, 25u, 2580u, 6451u}) {
+      if (m != 6451) {
+        add(threads, m, ks, ns);
+        continue;
       }
+      for (std::size_t k : ks) {
+        if (k != 6451) {
+          add(threads, m, {k}, ns);
+          continue;
+        }
+        // About half the work each: n ≤ 40, then n = 64 and 192.
+        add(threads, m, {k}, {ns.begin(), ns.end() - 2});
+        add(threads, m, {k}, {ns.end() - 2, ns.end()});
+      }
+    }
+  return shards;
+}
+
+void PrintTo(const Avx512GemmShard& s, std::ostream* os) { *os << s.name; }
+
+class Avx512GemmGrid : public ::testing::TestWithParam<Avx512GemmShard> {};
+
+TEST_P(Avx512GemmGrid, MatchesAvx2Bytes) {
+  SKIP_WITHOUT_AVX512();
+  const Avx512GemmShard& shard = GetParam();
+  Rng rng(shard.seed);
+  const int threads_before = omp_get_max_threads();
+  omp_set_num_threads(shard.threads);
+  for (std::size_t k : shard.ks) {
+    const auto a = gemm_operand(shard.m * k, rng);
+    const auto gemms =
+        k == 6451 ? std::span(kGemms).first(1) : std::span(kGemms);
+    for (std::size_t n : shard.ns)
+      expect_avx512_gemms_match(a, shard.m, k, n, rng, gemms);
   }
   omp_set_num_threads(threads_before);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelEquivalence, Avx512GemmGrid,
+    ::testing::ValuesIn(avx512_gemm_shards()),
+    [](const ::testing::TestParamInfo<Avx512GemmShard>& info) {
+      return info.param.name;
+    });
 
 /// `n` floats that end exactly at a page boundary, followed by a page
 /// mapped PROT_NONE, so a load or store past the last one faults. ASan
