@@ -568,12 +568,9 @@ TEST_P(Avx512GemmGrid, MatchesAvx2Bytes) {
   omp_set_num_threads(threads_before);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KernelEquivalence, Avx512GemmGrid,
-    ::testing::ValuesIn(avx512_gemm_shards()),
-    [](const ::testing::TestParamInfo<Avx512GemmShard>& info) {
-      return info.param.name;
-    });
+// gtest_discover_tests names each case by its printed parameter (PrintTo).
+INSTANTIATE_TEST_SUITE_P(KernelEquivalence, Avx512GemmGrid,
+                         ::testing::ValuesIn(avx512_gemm_shards()));
 
 /// `n` floats that end exactly at a page boundary, followed by a page
 /// mapped PROT_NONE, so a load or store past the last one faults. ASan
